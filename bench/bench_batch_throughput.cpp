@@ -3,13 +3,15 @@
 // worker counts. The specs-per-second counter is the headline number the
 // CI bench job tracks (BENCH_latest.json); the jobs=1 row is the
 // sequential baseline the >1 rows are compared against for the batch
-// speedup.
+// speedup. BM_ScreenInconsistentDepth12 prices the satisfiability screen,
+// which only inconsistent specs pay for.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "batch/batch.hpp"
 #include "batch/corpus_tasks.hpp"
+#include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
 
 namespace {
@@ -53,6 +55,19 @@ void BM_BatchGenerated(benchmark::State& state) {
   run_batch(state, tasks);
 }
 BENCHMARK(BM_BatchGenerated)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// One inconsistent spec whose screen meets a depth-12 Next chain:
+/// CARA/2.1.1 (CARA-2.1.1-5 is "... in 120 seconds") plus a contradictory
+/// alarm pair, so no partition repairs it and the screen runs in full.
+void BM_ScreenInconsistentDepth12(benchmark::State& state) {
+  SpecTask task{"CARA/2.1.1 + alarm clash",
+                speccc::corpus::cara_component_specs().at(1).requirements};
+  task.requirements.push_back({"Clash-1", "The alarm is issued."});
+  task.requirements.push_back({"Clash-2", "The alarm is not issued."});
+  run_batch(state, {task});
+}
+BENCHMARK(BM_ScreenInconsistentDepth12)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -118,6 +118,17 @@ if [[ -x "$batch_bin" ]]; then
     > "$build_dir/batch-smoke-enc-tseitin-cache.txt"
   diff "$build_dir/batch-smoke-enc-mapped.txt" "$build_dir/batch-smoke-enc-mapped-cache.txt"
   diff "$build_dir/batch-smoke-enc-mapped.txt" "$build_dir/batch-smoke-enc-tseitin-cache.txt"
+  # Budget smoke: every Table I row is consistent, so none runs the
+  # satisfiability screen and each finishes in a few milliseconds in
+  # Release. A 0.25 s per-task budget (over 10x the slowest row) must
+  # leave the canonical report byte-identical to the unbudgeted run; a
+  # screen on these rows (0.43 s per depth-12 requirement) would not fit.
+  echo "speccc_batch budget smoke (Table I canonical diff, --time-budget 0.25 vs none)"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
+    > "$build_dir/batch-smoke-table1.txt"
+  "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
+    --time-budget 0.25 > "$build_dir/batch-smoke-table1-budget.txt"
+  diff "$build_dir/batch-smoke-table1.txt" "$build_dir/batch-smoke-table1-budget.txt"
   # Shard smoke: the subprocess coordinator's interleaved merge must be
   # byte-identical to the unsharded canonical report
   # (shard/coordinator.hpp's determinism contract).

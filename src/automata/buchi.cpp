@@ -98,7 +98,7 @@ bool accepts_lasso(const Buchi& automaton, const ltl::Lasso& lasso) {
   return false;
 }
 
-Buchi prune(const Buchi& automaton) {
+Buchi prune(const Buchi& automaton, const std::function<bool()>& cancelled) {
   const std::size_t n = automaton.num_states();
 
   // Backward closure: states that can reach an accepting cycle. First find
@@ -114,6 +114,9 @@ Buchi prune(const Buchi& automaton) {
   std::vector<bool> useful(n, false);
   for (std::size_t s = 0; s < n; ++s) {
     if (!automaton.accepting[s]) continue;
+    if (cancelled && cancelled()) {
+      throw util::CancelledError("tableau construction cancelled");
+    }
     // Is s on a cycle?
     std::vector<bool> seen(n, false);
     std::vector<int> stack;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,6 +57,10 @@ struct Buchi {
 /// Remove states that cannot reach an accepting cycle (they never contribute
 /// to acceptance) and states unreachable from the initial state. Keeps the
 /// automaton language-equivalent; shrinks the bounded-synthesis state space.
-[[nodiscard]] Buchi prune(const Buchi& automaton);
+/// Runs one cycle search per accepting state, so it is quadratic in the
+/// state count; `cancelled` is polled before each search and returning true
+/// raises util::CancelledError.
+[[nodiscard]] Buchi prune(const Buchi& automaton,
+                          const std::function<bool()>& cancelled = {});
 
 }  // namespace speccc::automata

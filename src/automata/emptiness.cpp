@@ -87,8 +87,9 @@ std::optional<Witness> find_accepting_lasso(const Buchi& automaton) {
   return std::nullopt;
 }
 
-std::optional<Witness> satisfiable_witness(ltl::Formula f) {
-  return find_accepting_lasso(ltl_to_nbw(f));
+std::optional<Witness> satisfiable_witness(
+    ltl::Formula f, const std::function<bool()>& cancelled) {
+  return find_accepting_lasso(ltl_to_nbw(f, cancelled));
 }
 
 }  // namespace speccc::automata

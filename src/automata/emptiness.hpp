@@ -2,13 +2,15 @@
 // satisfiability.
 //
 // Used three ways:
-//   * sanity-checking translated requirements (an unsatisfiable requirement
-//     can never be implemented and is reported before synthesis runs);
+//   * screening translated requirements (an unsatisfiable requirement can
+//     never be implemented; core::Pipeline names such requirements when a
+//     specification ends up inconsistent, the only case they can occur);
 //   * generating witness traces for satisfiable formulas (property tests
 //     cross-check the witness against the trace semantics);
 //   * the model checker in synth/verify.hpp (emptiness of a product).
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "automata/buchi.hpp"
@@ -33,11 +35,15 @@ struct Witness {
 
 /// LTL satisfiability via the tableau: satisfiable iff the NBW of f has a
 /// nonempty language. The witness satisfies f (checked in tests against
-/// ltl::evaluate).
-[[nodiscard]] std::optional<Witness> satisfiable_witness(ltl::Formula f);
+/// ltl::evaluate). The tableau is exponential in Next-chain depth;
+/// `cancelled` is polled throughout its construction (see ltl_to_nbw) and
+/// returning true raises util::CancelledError.
+[[nodiscard]] std::optional<Witness> satisfiable_witness(
+    ltl::Formula f, const std::function<bool()>& cancelled = {});
 
-[[nodiscard]] inline bool satisfiable(ltl::Formula f) {
-  return satisfiable_witness(f).has_value();
+[[nodiscard]] inline bool satisfiable(
+    ltl::Formula f, const std::function<bool()>& cancelled = {}) {
+  return satisfiable_witness(f, cancelled).has_value();
 }
 
 /// Validity: f is valid iff !f is unsatisfiable.

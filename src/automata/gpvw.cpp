@@ -279,7 +279,7 @@ class GpvwBuilder {
           out.transitions[s].push_back({label, static_cast<int>(q) + 1});
         }
       }
-      return prune(out);
+      return prune(out, cancelled_);
     }
 
     // Degeneralization (Baier-Katoen): states (q, i), i in [0, k);
@@ -310,7 +310,7 @@ class GpvwBuilder {
         }
       }
     }
-    return prune(out);
+    return prune(out, cancelled_);
   }
 
   /// Order-sensitive FNV-style combination of the hash-consed formula
@@ -348,8 +348,8 @@ std::optional<Buchi> ltl_to_nbw_bounded(ltl::Formula f, std::size_t max_nodes,
   return GpvwBuilder(core, max_nodes, cancelled).run();
 }
 
-Buchi ltl_to_nbw(ltl::Formula f) {
-  auto result = ltl_to_nbw_bounded(f, SIZE_MAX);
+Buchi ltl_to_nbw(ltl::Formula f, const std::function<bool()>& cancelled) {
+  auto result = ltl_to_nbw_bounded(f, SIZE_MAX, cancelled);
   speccc_check(result.has_value(), "unbounded tableau cannot give up");
   return *std::move(result);
 }

@@ -22,8 +22,10 @@
 
 namespace speccc::automata {
 
-/// Translate an LTL formula into a degeneralized NBW.
-[[nodiscard]] Buchi ltl_to_nbw(ltl::Formula f);
+/// Translate an LTL formula into a degeneralized NBW. `cancelled` is
+/// polled as in ltl_to_nbw_bounded.
+[[nodiscard]] Buchi ltl_to_nbw(ltl::Formula f,
+                               const std::function<bool()>& cancelled = {});
 
 /// Construction-bounded variant: gives up (nullopt) once the tableau
 /// registers more than max_nodes distinct nodes or exhausts a proportional
@@ -31,7 +33,8 @@ namespace speccc::automata {
 /// conjoined G obligations are exponential) cost bounded time instead of
 /// minutes. Callers that can live with "don't know" -- the bounded
 /// synthesis engine, the differential harness -- use this. `cancelled` is
-/// polled once per expanded node; returning true raises
+/// polled once per expanded node and once per accepting state of the
+/// pruning pass (automata/buchi.hpp); returning true raises
 /// util::CancelledError (portfolio racers cancel losing tableaux here).
 [[nodiscard]] std::optional<Buchi> ltl_to_nbw_bounded(
     ltl::Formula f, std::size_t max_nodes,

@@ -216,6 +216,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
     result.translation_seconds = pipeline_result.translation_seconds;
     result.synthesis_seconds = pipeline_result.synthesis_seconds;
     result.refinement_seconds = pipeline_result.refinement_seconds;
+    result.screen_seconds = pipeline_result.screen_seconds;
     if (pipeline_result.synthesis.engine_used == synth::Engine::kSymbolic) {
       result.bdd = pipeline_result.synthesis.bdd_stats;
     }
@@ -445,7 +446,12 @@ std::string to_json(const BatchReport& report) {
        << status_name(r.status) << "\", \"formulas\": " << r.formulas
        << ", \"inputs\": " << r.inputs << ", \"outputs\": " << r.outputs
        << ", \"refined\": " << (r.refined ? "true" : "false")
-       << ", \"seconds\": " << r.seconds << ", \"worker\": " << r.worker;
+       << ", \"seconds\": " << r.seconds
+       << ", \"translation_seconds\": " << r.translation_seconds
+       << ", \"synthesis_seconds\": " << r.synthesis_seconds
+       << ", \"refinement_seconds\": " << r.refinement_seconds
+       << ", \"screen_seconds\": " << r.screen_seconds
+       << ", \"worker\": " << r.worker;
     if (!r.mus.empty()) {
       os << ", \"mus\": [";
       for (std::size_t k = 0; k < r.mus.size(); ++k) {

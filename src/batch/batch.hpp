@@ -129,6 +129,7 @@ struct TaskResult {
   double translation_seconds = 0.0;
   double synthesis_seconds = 0.0;
   double refinement_seconds = 0.0;
+  double screen_seconds = 0.0;  // satisfiability screen (inconsistent only)
   int worker = -1;  // which worker ran it
   /// BDD-manager counters of the task's initial synthesis (zero when the
   /// bounded engine decided it). Every worker owns its managers, so these
@@ -206,12 +207,13 @@ struct BatchOptions {
   /// re-parsing unchanged sentences and re-deciding unchanged formulas.
   core::PipelineOptions pipeline;
   /// Per-task wall-clock budget in seconds; 0 means unlimited. Polled at
-  /// pipeline stage boundaries (cooperative -- a stage in flight finishes).
-  /// Bound the stages themselves with pipeline.synthesis.bounded caps.
+  /// pipeline stage boundaries and inside the satisfiability screen's
+  /// tableau (see PipelineOptions::cancelled); other stages in flight
+  /// finish. Bound those with pipeline.synthesis.bounded caps.
   double task_time_budget_seconds = 0.0;
   /// Batch-wide cancellation: raise to drain the queue. Running tasks stop
-  /// at their next stage boundary; queued tasks are marked kCancelled
-  /// without running.
+  /// at their next poll (see task_time_budget_seconds); queued tasks are
+  /// marked kCancelled without running.
   const std::atomic<bool>* cancel = nullptr;
   /// Re-decide every spec with both synthesis engines and record
   /// agreement (roughly doubles the cost; the bounded engine gives up as

@@ -83,32 +83,6 @@ PipelineResult Pipeline::run(
 
   const std::vector<ltl::Formula> formulas = result.translation.formulas();
   result.partition = partition::unify(formulas, options_.partition_overrides);
-
-  // Per-requirement satisfiability screening: an unsatisfiable requirement
-  // makes the whole specification unimplementable regardless of the
-  // partition, so it is reported as early diagnostics.
-  if (options_.satisfiability_check) {
-    for (const auto& req : result.translation.requirements) {
-      if (ltl::max_next_chain(req.formula) > options_.satisfiability_chain_cap) {
-        continue;
-      }
-      bool satisfiable;
-      if (store != nullptr) {
-        const util::Digest key = cache::satisfiability_key(req.formula);
-        if (const auto hit = store->find_satisfiable(key)) {
-          satisfiable = *hit;
-        } else {
-          satisfiable = automata::satisfiable(req.formula);
-          store->put_satisfiable(key, satisfiable);
-        }
-      } else {
-        satisfiable = automata::satisfiable(req.formula);
-      }
-      if (!satisfiable) {
-        result.unsatisfiable_requirements.push_back(req.id);
-      }
-    }
-  }
   result.translation_seconds = stage1.seconds();
 
   // ---- Stage 2: realizability -------------------------------------------------
@@ -202,6 +176,37 @@ PipelineResult Pipeline::run(
       result.consistent = true;
       result.partition = result.refinement->partition;
     }
+  }
+
+  // ---- Satisfiability screen --------------------------------------------------
+  // A spec realizable under any partition has a satisfiable conjunction, so
+  // only an inconsistent spec can hold an unsatisfiable requirement: the
+  // screen runs for those alone. The tableau is exponential in Next-chain
+  // depth, so options_.cancelled is polled throughout its construction.
+  if (!result.consistent && options_.satisfiability_check) {
+    poll_cancel("satisfiability screen");
+    util::Stopwatch screen;
+    for (const auto& req : result.translation.requirements) {
+      if (ltl::max_next_chain(req.formula) > options_.satisfiability_chain_cap) {
+        continue;
+      }
+      bool satisfiable;
+      if (store != nullptr) {
+        const util::Digest key = cache::satisfiability_key(req.formula);
+        if (const auto hit = store->find_satisfiable(key)) {
+          satisfiable = *hit;
+        } else {
+          satisfiable = automata::satisfiable(req.formula, options_.cancelled);
+          store->put_satisfiable(key, satisfiable);
+        }
+      } else {
+        satisfiable = automata::satisfiable(req.formula, options_.cancelled);
+      }
+      if (!satisfiable) {
+        result.unsatisfiable_requirements.push_back(req.id);
+      }
+    }
+    result.screen_seconds = screen.seconds();
   }
   return result;
 }

@@ -51,8 +51,10 @@ struct PipelineOptions {
   /// greedy path) and how many minimal correction sets to enumerate for
   /// genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
-  /// Flag individually unsatisfiable requirements (tableau emptiness) before
-  /// synthesis. Requirements whose abstracted Next chains still exceed
+  /// Flag individually unsatisfiable requirements (tableau emptiness). The
+  /// screen runs after stages 2/3 and only when the specification ends up
+  /// inconsistent: a realizable specification has no unsatisfiable
+  /// requirement. Requirements whose abstracted Next chains still exceed
   /// satisfiability_chain_cap are skipped (the tableau is exponential in
   /// the chain length).
   bool satisfiability_check = true;
@@ -62,10 +64,12 @@ struct PipelineOptions {
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
   /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, and refinement). When it returns true the run
-  /// throws util::CancelledError. A stage already in flight runs to
-  /// completion -- use the synthesis caps (BoundedOptions) to bound the
-  /// stages themselves. Null means never cancelled.
+  /// translation, synthesis, refinement, and the satisfiability screen),
+  /// inside non-auto stage-2 substrates, and throughout the satisfiability
+  /// screen's tableau. When it returns true the run throws
+  /// util::CancelledError. Translation, auto synthesis, and refinement run
+  /// to completion once started -- use the synthesis caps (BoundedOptions)
+  /// to bound those. Null means never cancelled.
   std::function<bool()> cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store
@@ -87,13 +91,15 @@ struct PipelineResult {
   std::optional<PortfolioStats> portfolio;
   std::optional<refine::RefinementOutcome> refinement;
   /// Requirements that are unsatisfiable on their own (no implementation of
-  /// the whole specification can exist; reported before synthesis).
+  /// the whole specification can exist). Filled by the satisfiability
+  /// screen, which runs only for inconsistent specifications.
   std::vector<std::string> unsatisfiable_requirements;
   /// Realizable, possibly after refinement (the paper's "consistent").
   bool consistent = false;
   double translation_seconds = 0.0;  // stage 1 wall clock
   double synthesis_seconds = 0.0;    // stage 2 wall clock (Table I column)
   double refinement_seconds = 0.0;   // stage 3 wall clock
+  double screen_seconds = 0.0;       // satisfiability screen wall clock
 
   [[nodiscard]] std::size_t num_formulas() const {
     return translation.requirements.size();

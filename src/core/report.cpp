@@ -93,6 +93,10 @@ std::string describe(const PipelineResult& result) {
          << "\n";
     }
   }
+  if (!result.consistent) {
+    // The screen only runs for inconsistent specifications.
+    os << "  satisfiability screen: " << result.screen_seconds << " s\n";
+  }
   os << "  verdict: " << (result.consistent ? "consistent" : "INCONSISTENT")
      << "\n";
   return os.str();

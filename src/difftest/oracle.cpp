@@ -5,6 +5,8 @@
 
 #include "automata/emptiness.hpp"
 #include "automata/gpvw.hpp"
+#include "core/pipeline.hpp"
+#include "ltl/rewrite.hpp"
 #include "partition/partition.hpp"
 #include "synth/symbolic_engine.hpp"
 #include "synth/verify.hpp"
@@ -205,6 +207,23 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
     return std::string("engine disagreement: symbolic says ") +
            verdict_name(symbolic->verdict) + ", bounded says " +
            verdict_name(bounded.verdict);
+  }
+
+  // Realizable implies satisfiable: a definite kRealizable means the
+  // conjunction has a model, so every requirement the pipeline's
+  // satisfiability screen would check passes it. This is what lets
+  // core::Pipeline skip the screen for consistent specifications.
+  if ((symbolic && symbolic->verdict == Realizability::kRealizable) ||
+      bounded.verdict == Realizability::kRealizable) {
+    static const std::size_t cap =
+        core::PipelineOptions{}.satisfiability_chain_cap;
+    for (const Formula requirement : spec.requirements) {
+      if (ltl::max_next_chain(requirement) > cap) continue;
+      if (!automata::satisfiable(requirement)) {
+        return "realizable specification with an unsatisfiable requirement: " +
+               show(requirement);
+      }
+    }
   }
 
   // Controller compliance: every extracted controller must implement the

@@ -18,6 +18,10 @@
 //   check_spec(spec, signature):
 //     * bounded and symbolic synthesis must not return opposite definite
 //       realizability verdicts (kUnknown never counts as disagreement);
+//     * a definite kRealizable from either engine implies every requirement
+//       within the pipeline's default satisfiability_chain_cap is
+//       tableau-satisfiable (why core::Pipeline screens inconsistent
+//       specifications only);
 //     * every extracted Mealy controller must model-check (synth/verify)
 //       against the conjoined specification and each requirement;
 //     * controllers replayed on random input lassos must produce traces

@@ -7,12 +7,14 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "batch/batch.hpp"
 #include "batch/corpus_tasks.hpp"
 #include "cache/store.hpp"
 #include "core/pipeline.hpp"
+#include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/random.hpp"
@@ -200,6 +202,40 @@ TEST(BatchScheduler, BudgetExhaustionIsReportedPerTask) {
   }
 }
 
+// The satisfiability screen polls the task budget throughout the tableau.
+// CARA-2.1.1-5 ("... in 120 seconds") abstracts to a depth-12 Next chain
+// whose tableau takes about 0.43 s in Release: about 60 ms of node
+// expansion, then the pruning pass. The alarm pair makes the row
+// inconsistent under every partition, so the screen runs.
+TEST(BatchScheduler, BudgetInterruptsARunningSatisfiabilityScreen) {
+  batch::SpecTask task{
+      "CARA/2.1.1 + alarm clash",
+      speccc::corpus::cara_component_specs().at(1).requirements};
+  task.requirements.push_back({"Clash-1", "The alarm is issued."});
+  task.requirements.push_back({"Clash-2", "The alarm is not issued."});
+
+  batch::BatchOptions options;
+  options.jobs = 1;
+  options.pipeline.satisfiability_check = false;  // premise, without the screen
+  const batch::BatchReport unscreened = batch::check({task}, options);
+  ASSERT_EQ(unscreened.results.at(0).status, batch::TaskStatus::kInconsistent);
+
+  options.pipeline.satisfiability_check = true;
+  // In Release, 20 ms expires during the expansion and 200 ms during the
+  // pruning pass. The bounds leave room for sanitizer builds, where the
+  // stages before the screen alone can outlast 20 ms.
+  const std::pair<double, double> budget_and_bound[] = {{0.02, 0.2},
+                                                         {0.2, 0.3}};
+  for (const auto& [budget, bound] : budget_and_bound) {
+    options.task_time_budget_seconds = budget;
+    const batch::BatchReport report = batch::check({task}, options);
+    const batch::TaskResult& r = report.results.at(0);
+    EXPECT_EQ(r.status, batch::TaskStatus::kBudgetExhausted)
+        << budget << ": " << r.detail;
+    EXPECT_LT(r.seconds, bound) << budget;
+  }
+}
+
 TEST(BatchScheduler, PreRaisedCancelFlagDrainsTheQueue) {
   std::atomic<bool> cancel{true};
   batch::BatchOptions options;
@@ -274,6 +310,14 @@ TEST(BatchReporting, JsonContainsEverySpecAndTheJobCount) {
   EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
   for (const batch::TaskResult& r : report.results) {
     EXPECT_NE(json.find(r.name), std::string::npos);
+  }
+  // Per-stage timings are diagnostics: in the JSON, never canonical.
+  for (const char* field : {"translation_seconds", "synthesis_seconds",
+                            "refinement_seconds", "screen_seconds"}) {
+    EXPECT_NE(json.find(std::string("\"") + field + "\": "), std::string::npos)
+        << field;
+    EXPECT_EQ(batch::canonical(report).find(field), std::string::npos)
+        << field;
   }
 }
 

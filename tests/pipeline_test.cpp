@@ -2,6 +2,9 @@
 // case-study corpora, reproducing the paper's Table I verdicts.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "cache/store.hpp"
 #include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
 #include "corpus/robot.hpp"
@@ -182,19 +185,66 @@ TEST(Report, TableRowAndDescribe) {
   EXPECT_NE(text.find("time abstraction: d = 60"), std::string::npos);
 }
 
+std::size_t satisfiability_entries(const speccc::cache::Store& store) {
+  std::size_t n = 0;
+  store.for_each_satisfiable([&n](const auto&, bool) { ++n; });
+  return n;
+}
+
 TEST(PipelineDiagnostics, UnsatisfiableRequirementIsFlagged) {
-  core::PipelineOptions options;
-  options.refine_on_failure = false;
-  core::Pipeline pipeline(options);
   const std::vector<translate::RequirementText> spec = {
       {"ok", "If the pump is detected, the alarm is issued."},
       // "available and not available" in one clause group: unsatisfiable.
       {"bad", "The cuff is available and the cuff is not available."},
   };
-  const auto result = pipeline.run("diag", spec);
-  EXPECT_FALSE(result.consistent);
-  EXPECT_EQ(result.unsatisfiable_requirements,
-            (std::vector<std::string>{"bad"}));
+  // The screen runs after stages 2/3, so it reports the same requirements
+  // whether or not refinement ran first, and caches one verdict each.
+  for (const bool refine : {false, true}) {
+    core::PipelineOptions options;
+    options.refine_on_failure = refine;
+    options.cache = std::make_shared<speccc::cache::Store>();
+    core::Pipeline pipeline(options);
+    const auto result = pipeline.run("diag", spec);
+    EXPECT_FALSE(result.consistent) << "refine " << refine;
+    EXPECT_EQ(result.refinement.has_value(), refine);
+    EXPECT_EQ(result.unsatisfiable_requirements,
+              (std::vector<std::string>{"bad"}))
+        << "refine " << refine;
+    EXPECT_EQ(satisfiability_entries(*options.cache), 2u);
+  }
+}
+
+// A realizable specification has only satisfiable requirements, so the
+// screen never runs for one: no tableau, no cached satisfiability entry.
+TEST(PipelineDiagnostics, ConsistentSpecSkipsTheScreen) {
+  core::PipelineOptions options;
+  options.cache = std::make_shared<speccc::cache::Store>();
+  core::Pipeline pipeline(options);
+  const auto result =
+      pipeline.run("CARA working mode", corpus::cara_working_mode_texts());
+  ASSERT_TRUE(result.consistent);
+  EXPECT_FALSE(result.refinement.has_value());
+  EXPECT_TRUE(result.unsatisfiable_requirements.empty());
+  EXPECT_EQ(result.screen_seconds, 0.0);
+  EXPECT_EQ(satisfiability_entries(*options.cache), 0u);
+}
+
+TEST(PipelineDiagnostics, RepairedSpecSkipsTheScreen) {
+  core::PipelineOptions options;
+  options.cache = std::make_shared<speccc::cache::Store>();
+  core::Pipeline pipeline(options);
+  bool saw_trap = false;
+  for (const auto& tele : corpus::telepromise_specs()) {
+    if (!tele.partition_trap) continue;
+    saw_trap = true;
+    const auto result = pipeline.run(tele.name, tele.requirements);
+    EXPECT_FALSE(result.synthesis.realizable()) << tele.name;
+    ASSERT_TRUE(result.refinement.has_value()) << tele.name;
+    EXPECT_TRUE(result.consistent) << tele.name;
+    EXPECT_EQ(result.screen_seconds, 0.0) << tele.name;
+  }
+  EXPECT_TRUE(saw_trap);
+  EXPECT_EQ(satisfiability_entries(*options.cache), 0u);
 }
 
 TEST(PipelineDiagnostics, SatisfiabilityCheckCanBeDisabled) {
