@@ -139,6 +139,19 @@ if [[ -x "$batch_bin" ]]; then
       "$repo_root/examples/specs" > "$build_dir/batch-smoke-shard.txt"
     diff "$build_dir/batch-smoke-plain.txt" "$build_dir/batch-smoke-shard.txt"
   fi
+  # JSON smoke: the batch report (every optional section on) and the merged
+  # shard report are each one valid JSON document, checked by an
+  # independent parser (util/json renders both).
+  if [[ -x "$shard_bin" ]] && command -v python3 >/dev/null; then
+    echo "JSON report smoke (batch + shard --json - through python3 json.load)"
+    "$batch_bin" --jobs "$batch_jobs" --quiet --corpus table1 --cache \
+      --crosscheck --diagnose --substrate race:tableau,bounded,symbolic \
+      --json - 2> "$build_dir/json-smoke-batch.err" |
+      python3 -c 'import json,sys; json.load(sys.stdin)'
+    "$shard_bin" --corpus table1 --shards 3 --json - \
+      2> "$build_dir/json-smoke-shard.err" |
+      python3 -c 'import json,sys; json.load(sys.stdin)'
+  fi
   # Snapshot smoke: a cold run that saves a warm-start snapshot and a warm
   # run that loads it must both match the plain canonical report, and the
   # warm run must be all hits (cache/snapshot.hpp's exactness contract).

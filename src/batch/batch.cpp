@@ -1,7 +1,6 @@
 #include "batch/batch.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -12,6 +11,7 @@
 #include "synth/symbolic_engine.hpp"
 #include "synth/synthesizer.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 namespace speccc::batch {
 
@@ -27,15 +27,6 @@ const char* status_name(TaskStatus status) {
 }
 
 namespace {
-
-const char* realizability_name(synth::Realizability r) {
-  switch (r) {
-    case synth::Realizability::kRealizable: return "realizable";
-    case synth::Realizability::kUnrealizable: return "unrealizable";
-    case synth::Realizability::kUnknown: return "unknown";
-  }
-  return "?";
-}
 
 /// Per-task budget state read by the worker pipeline's cancelled functor.
 /// Lives in a shared_ptr because PipelineOptions copies the functor into
@@ -367,7 +358,7 @@ void canonical_result(std::ostream& os, const TaskResult& r) {
     // One verdict per registered substrate, registry order: input-pure
     // (every substrate's caps are deterministic), hence canonical.
     for (const auto& entry : r.agreement.verdicts) {
-      os << ' ' << entry.first << '=' << realizability_name(entry.second);
+      os << ' ' << entry.first << '=' << synth::realizability_name(entry.second);
     }
     os << " agree=" << (r.agreement.agree() ? 1 : 0);
   }
@@ -375,26 +366,8 @@ void canonical_result(std::ostream& os, const TaskResult& r) {
   os << '\n';
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+util::json::Value strings_json(const std::vector<std::string>& items) {
+  return util::json::Array(items.begin(), items.end());
 }
 
 }  // namespace
@@ -412,104 +385,69 @@ std::string canonical_line(const TaskResult& result) {
 }
 
 std::string to_json(const BatchReport& report) {
-  std::ostringstream os;
-  os << "{\n  \"jobs\": " << report.jobs
-     << ",\n  \"wall_seconds\": " << report.wall_seconds
-     << ",\n  \"cpu_seconds\": " << report.cpu_seconds()
-     << ",\n  \"steals\": " << report.steals
-     << ",\n  \"consistent\": " << report.consistent
-     << ",\n  \"inconsistent\": " << report.inconsistent
-     << ",\n  \"errors\": " << report.errors
-     << ",\n  \"budget_exhausted\": " << report.budget_exhausted
-     << ",\n  \"cancelled\": " << report.cancelled
-     << ",\n  \"disagreements\": " << report.disagreements;
+  namespace json = util::json;
+  json::Array specs;
+  specs.reserve(report.results.size());
+  for (const TaskResult& r : report.results) {
+    json::Object spec{
+        {"name", r.name}, {"status", status_name(r.status)},
+        {"formulas", r.formulas}, {"inputs", r.inputs}, {"outputs", r.outputs},
+        {"refined", r.refined}, {"worker", r.worker}, {"seconds", r.seconds},
+        {"translation_seconds", r.translation_seconds},
+        {"synthesis_seconds", r.synthesis_seconds},
+        {"refinement_seconds", r.refinement_seconds},
+        {"screen_seconds", r.screen_seconds}};
+    if (!r.mus.empty()) spec["mus"] = strings_json(r.mus);
+    if (!r.correction_sets.empty()) {
+      json::Array sets;
+      for (const auto& set : r.correction_sets) {
+        sets.push_back(strings_json(set));
+      }
+      spec["correction_sets"] = std::move(sets);
+    }
+    if (r.bdd.peak_nodes > 0) {
+      spec["bdd_peak_nodes"] = r.bdd.peak_nodes;
+      spec["bdd_cache_hits"] = r.bdd.cache_hits;
+      spec["bdd_cache_misses"] = r.bdd.cache_misses;
+    }
+    if (!r.substrate.empty()) spec["substrate"] = r.substrate;
+    if (r.portfolio.has_value()) {
+      spec["won"] = r.portfolio->winner;
+      spec["substrates"] = core::substrates_json(*r.portfolio);
+    }
+    if (r.agreement.checked) {
+      for (const auto& [substrate, verdict] : r.agreement.verdicts) {
+        spec[substrate] = synth::realizability_name(verdict);
+      }
+      spec["agree"] = r.agreement.agree();
+    }
+    if (!r.detail.empty()) spec["detail"] = r.detail;
+    specs.emplace_back(std::move(spec));
+  }
+
+  json::Object doc{
+      {"jobs", report.jobs}, {"steals", report.steals},
+      {"wall_seconds", report.wall_seconds},
+      {"cpu_seconds", report.cpu_seconds()},
+      {"consistent", report.consistent}, {"inconsistent", report.inconsistent},
+      {"errors", report.errors}, {"budget_exhausted", report.budget_exhausted},
+      {"cancelled", report.cancelled}, {"disagreements", report.disagreements},
+      {"specs", std::move(specs)}};
   if (report.cache_enabled) {
-    const cache::StatsSnapshot& c = report.cache_stats;
-    os << ",\n  \"cache\": {\"l1_hits\": " << c.l1_hits
-       << ", \"l1_misses\": " << c.l1_misses << ", \"l2_hits\": " << c.l2_hits
-       << ", \"l2_misses\": " << c.l2_misses
-       << ", \"evictions\": " << c.evictions << "}";
+    doc["cache"] = cache::stats_json(report.cache_stats);
   }
   if (report.bdd.tasks > 0) {
     const BddAggregate& b = report.bdd;
-    os << ",\n  \"bdd\": {\"tasks\": " << b.tasks
-       << ", \"peak_nodes_max\": " << b.peak_nodes_max
-       << ", \"unique_hits\": " << b.unique_hits
-       << ", \"cache_hits\": " << b.cache_hits
-       << ", \"cache_misses\": " << b.cache_misses
-       << ", \"cache_evictions\": " << b.cache_evictions << "}";
+    doc["bdd"] = json::Object{
+        {"tasks", b.tasks}, {"peak_nodes_max", b.peak_nodes_max},
+        {"unique_hits", b.unique_hits}, {"cache_hits", b.cache_hits},
+        {"cache_misses", b.cache_misses},
+        {"cache_evictions", b.cache_evictions}};
   }
-  os << ",\n  \"specs\": [\n";
-  for (std::size_t i = 0; i < report.results.size(); ++i) {
-    const TaskResult& r = report.results[i];
-    os << "    {\"name\": \"" << json_escape(r.name) << "\", \"status\": \""
-       << status_name(r.status) << "\", \"formulas\": " << r.formulas
-       << ", \"inputs\": " << r.inputs << ", \"outputs\": " << r.outputs
-       << ", \"refined\": " << (r.refined ? "true" : "false")
-       << ", \"seconds\": " << r.seconds
-       << ", \"translation_seconds\": " << r.translation_seconds
-       << ", \"synthesis_seconds\": " << r.synthesis_seconds
-       << ", \"refinement_seconds\": " << r.refinement_seconds
-       << ", \"screen_seconds\": " << r.screen_seconds
-       << ", \"worker\": " << r.worker;
-    if (!r.mus.empty()) {
-      os << ", \"mus\": [";
-      for (std::size_t k = 0; k < r.mus.size(); ++k) {
-        os << (k > 0 ? ", " : "") << "\"" << json_escape(r.mus[k]) << "\"";
-      }
-      os << "]";
-    }
-    if (!r.correction_sets.empty()) {
-      os << ", \"correction_sets\": [";
-      for (std::size_t s = 0; s < r.correction_sets.size(); ++s) {
-        os << (s > 0 ? ", " : "") << "[";
-        for (std::size_t k = 0; k < r.correction_sets[s].size(); ++k) {
-          os << (k > 0 ? ", " : "") << "\""
-             << json_escape(r.correction_sets[s][k]) << "\"";
-        }
-        os << "]";
-      }
-      os << "]";
-    }
-    if (r.bdd.peak_nodes > 0) {
-      os << ", \"bdd_peak_nodes\": " << r.bdd.peak_nodes
-         << ", \"bdd_cache_hits\": " << r.bdd.cache_hits
-         << ", \"bdd_cache_misses\": " << r.bdd.cache_misses;
-    }
-    if (!r.substrate.empty()) {
-      os << ", \"substrate\": \"" << json_escape(r.substrate) << "\"";
-    }
-    if (r.portfolio.has_value()) {
-      os << ", \"won\": \"" << json_escape(r.portfolio->winner)
-         << "\", \"substrates\": [";
-      for (std::size_t k = 0; k < r.portfolio->runs.size(); ++k) {
-        const core::SubstrateRunStats& run = r.portfolio->runs[k];
-        os << (k > 0 ? ", " : "") << "{\"name\": \"" << json_escape(run.name)
-           << "\", \"verdict\": \"" << realizability_name(run.verdict)
-           << "\", \"seconds\": " << run.wall_seconds
-           << ", \"won\": " << (run.won ? "true" : "false")
-           << ", \"cancelled\": " << (run.cancelled ? "true" : "false");
-        if (!run.error.empty()) {
-          os << ", \"error\": \"" << json_escape(run.error) << "\"";
-        }
-        os << "}";
-      }
-      os << "]";
-    }
-    if (r.agreement.checked) {
-      for (const auto& entry : r.agreement.verdicts) {
-        os << ", \"" << json_escape(entry.first) << "\": \""
-           << realizability_name(entry.second) << "\"";
-      }
-      os << ", \"agree\": " << (r.agreement.agree() ? "true" : "false");
-    }
-    if (!r.detail.empty()) {
-      os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
-    }
-    os << "}" << (i + 1 < report.results.size() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  return os.str();
+  std::string out;
+  json::write(out, std::move(doc));
+  out += '\n';
+  return out;
 }
 
 void print_summary(std::ostream& os, const BatchReport& report) {

@@ -30,6 +30,22 @@ void print_stats(std::ostream& os, const StatsSnapshot& stats) {
      << " misses, " << stats.evictions << " evictions\n";
 }
 
+util::json::Object stats_json(const StatsSnapshot& stats) {
+  return {{"l1_hits", stats.l1_hits},
+          {"l1_misses", stats.l1_misses},
+          {"l2_hits", stats.l2_hits},
+          {"l2_misses", stats.l2_misses},
+          {"evictions", stats.evictions}};
+}
+
+StatsSnapshot stats_from_json(const util::json::Value& value) {
+  return {.l1_hits = value.at("l1_hits").as_count(),
+          .l1_misses = value.at("l1_misses").as_count(),
+          .l2_hits = value.at("l2_hits").as_count(),
+          .l2_misses = value.at("l2_misses").as_count(),
+          .evictions = value.at("evictions").as_count()};
+}
+
 namespace {
 
 /// The per-thread accumulator behind Store::thread_stats(). Plain fields:

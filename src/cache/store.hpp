@@ -67,6 +67,7 @@
 #include "synth/synthesizer.hpp"
 #include "timeabs/abstraction.hpp"
 #include "util/digest.hpp"
+#include "util/json.hpp"
 
 namespace speccc::cache {
 
@@ -104,12 +105,23 @@ struct StatsSnapshot {
   [[nodiscard]] std::uint64_t misses() const { return l1_misses + l2_misses; }
   /// this - earlier, fieldwise (for per-batch deltas).
   [[nodiscard]] StatsSnapshot since(const StatsSnapshot& earlier) const;
+  bool operator==(const StatsSnapshot&) const = default;
 };
 
 /// The one-line human rendering ("cache: L1 H hits / M misses, L2 ..."),
 /// shared by the batch summary and speccc_batch --cache-stats so the two
 /// cannot drift.
 void print_stats(std::ostream& os, const StatsSnapshot& stats);
+
+/// The JSON rendering ({"evictions", "l1_hits", "l1_misses", "l2_hits",
+/// "l2_misses"}), shared by the batch report, the merged shard report and
+/// the serve protocol's result and stats lines.
+[[nodiscard]] util::json::Object stats_json(const StatsSnapshot& stats);
+
+/// Read stats_json()'s object back (the shard coordinator's view of a
+/// worker's batch report). util::ParseError unless every counter is
+/// present and a non-negative integer.
+[[nodiscard]] StatsSnapshot stats_from_json(const util::json::Value& value);
 
 namespace detail {
 

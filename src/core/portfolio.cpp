@@ -1,6 +1,7 @@
 #include "core/portfolio.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -146,6 +147,21 @@ synth::SynthesisResult PortfolioRunner::run(
   // All racers reported CancelledError with no winner and no external
   // cancel: a substrate polled a stale flag. Treat as cancellation.
   throw util::CancelledError("portfolio race ended with no result");
+}
+
+util::json::Value substrates_json(const PortfolioStats& portfolio) {
+  util::json::Array runs;
+  runs.reserve(portfolio.runs.size());
+  for (const SubstrateRunStats& run : portfolio.runs) {
+    util::json::Object o{{"name", run.name},
+                         {"verdict", synth::realizability_name(run.verdict)},
+                         {"run_ms", std::llround(run.wall_seconds * 1000.0)},
+                         {"won", run.won},
+                         {"cancelled", run.cancelled}};
+    if (!run.error.empty()) o["error"] = run.error;
+    runs.emplace_back(std::move(o));
+  }
+  return runs;
 }
 
 }  // namespace speccc::core

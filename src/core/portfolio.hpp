@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/substrate.hpp"
+#include "util/json.hpp"
 
 namespace speccc::core {
 
@@ -50,6 +51,13 @@ struct PortfolioStats {
   double wall_seconds = 0.0;   // whole-race wall time
   std::vector<SubstrateRunStats> runs;  // spec order
 };
+
+/// The per-racer array of a raced result, as the serve protocol and the
+/// batch report both carry it: one {"name", "verdict", "run_ms", "won",
+/// "cancelled"[, "error"]} object per racer, spec order. Diagnostics only
+/// (which racer wins is timing-dependent), never canonical.
+[[nodiscard]] util::json::Value substrates_json(
+    const PortfolioStats& portfolio);
 
 /// Race the substrates of `spec` (mode kRace, or kSolo as a degenerate
 /// one-lane race) resolved against `registry`.

@@ -20,15 +20,6 @@ namespace {
 using ltl::Formula;
 using synth::Realizability;
 
-const char* verdict_name(Realizability v) {
-  switch (v) {
-    case Realizability::kRealizable: return "realizable";
-    case Realizability::kUnrealizable: return "unrealizable";
-    case Realizability::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 bool definite(Realizability v) { return v != Realizability::kUnknown; }
 
 Evaluator resolve(const OracleOptions& options) {
@@ -205,8 +196,8 @@ std::optional<std::string> check_spec(const SpecCase& spec, util::Rng& rng,
   if (symbolic && definite(symbolic->verdict) && definite(bounded.verdict) &&
       symbolic->verdict != bounded.verdict) {
     return std::string("engine disagreement: symbolic says ") +
-           verdict_name(symbolic->verdict) + ", bounded says " +
-           verdict_name(bounded.verdict);
+           synth::realizability_name(symbolic->verdict) + ", bounded says " +
+           synth::realizability_name(bounded.verdict);
   }
 
   // Realizable implies satisfiable: a definite kRealizable means the

@@ -2,12 +2,14 @@
 
 #include <cmath>
 
-#include "serve/json.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 namespace speccc::serve {
 
 namespace {
+
+namespace json = util::json;
 
 [[noreturn]] void fail(const std::string& what) {
   throw util::ParseError("protocol: " + what);
@@ -76,12 +78,8 @@ std::vector<translate::RequirementText> parse_requirements(
   return out;
 }
 
-long long to_ms(double seconds) {
-  return static_cast<long long>(std::llround(seconds * 1000.0));
-}
-
 void put_ms(json::Object& o, const char* key, double seconds) {
-  o[key] = json::Value(static_cast<std::int64_t>(to_ms(seconds)));
+  o[key] = std::llround(seconds * 1000.0);
 }
 
 /// Strip canonical_line's trailing newline for embedding as a JSON string;
@@ -90,44 +88,6 @@ std::string canonical_field(const batch::TaskResult& result) {
   std::string line = batch::canonical_line(result);
   if (!line.empty() && line.back() == '\n') line.pop_back();
   return line;
-}
-
-const char* realizability_name(synth::Realizability r) {
-  switch (r) {
-    case synth::Realizability::kRealizable: return "realizable";
-    case synth::Realizability::kUnrealizable: return "unrealizable";
-    case synth::Realizability::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
-/// Per-racer diagnostics of a raced result. Excluded from the embedded
-/// canonical row (which racer wins is timing-dependent); rides along like
-/// queue_ms/cache.
-json::Value substrates_array(const core::PortfolioStats& portfolio) {
-  json::Array runs;
-  runs.reserve(portfolio.runs.size());
-  for (const core::SubstrateRunStats& run : portfolio.runs) {
-    json::Object o;
-    o["name"] = json::Value(run.name);
-    o["verdict"] = json::Value(realizability_name(run.verdict));
-    put_ms(o, "run_ms", run.wall_seconds);
-    o["won"] = json::Value(run.won);
-    o["cancelled"] = json::Value(run.cancelled);
-    if (!run.error.empty()) o["error"] = json::Value(run.error);
-    runs.push_back(json::Value(std::move(o)));
-  }
-  return json::Value(std::move(runs));
-}
-
-json::Object cache_object(const cache::StatsSnapshot& c) {
-  json::Object o;
-  o["l1_hits"] = json::Value(static_cast<std::int64_t>(c.l1_hits));
-  o["l1_misses"] = json::Value(static_cast<std::int64_t>(c.l1_misses));
-  o["l2_hits"] = json::Value(static_cast<std::int64_t>(c.l2_hits));
-  o["l2_misses"] = json::Value(static_cast<std::int64_t>(c.l2_misses));
-  o["evictions"] = json::Value(static_cast<std::int64_t>(c.evictions));
-  return o;
 }
 
 std::string render(const json::Object& object) {
@@ -184,40 +144,40 @@ ParsedRequest parse_request(std::string_view line) {
 
 std::string render_response(const Response& response) {
   json::Object o;
-  o["id"] = json::Value(response.id);
-  o["kind"] = json::Value(response_kind_name(response.kind));
+  o["id"] = response.id;
+  o["kind"] = response_kind_name(response.kind);
   switch (response.kind) {
     case ResponseKind::kRejected:
-      o["error"] = json::Value(response.error);
+      o["error"] = response.error;
       put_ms(o, "retry_after_ms", response.retry_after_seconds);
       break;
     case ResponseKind::kError:
-      o["error"] = json::Value(response.error);
+      o["error"] = response.error;
       break;
     case ResponseKind::kDeadlineExceeded:
-      o["error"] = json::Value(response.error);
+      o["error"] = response.error;
       put_ms(o, "queue_ms", response.queue_seconds);
       put_ms(o, "run_ms", response.result.seconds);
       break;
     case ResponseKind::kResult: {
       const batch::TaskResult& r = response.result;
-      o["name"] = json::Value(r.name);
-      o["status"] = json::Value(batch::status_name(r.status));
-      o["canonical"] = json::Value(canonical_field(r));
+      o["name"] = r.name;
+      o["status"] = batch::status_name(r.status);
+      o["canonical"] = canonical_field(r);
       put_ms(o, "queue_ms", response.queue_seconds);
       put_ms(o, "run_ms", r.seconds);
       // Substrate diagnostics (never part of "canonical"): which substrate
       // decided the spec, and the per-racer stats when it was raced.
-      if (!r.substrate.empty()) o["substrate"] = json::Value(r.substrate);
+      if (!r.substrate.empty()) o["substrate"] = r.substrate;
       if (r.portfolio.has_value()) {
-        o["won"] = json::Value(r.portfolio->winner);
-        o["substrates"] = substrates_array(*r.portfolio);
+        o["won"] = r.portfolio->winner;
+        o["substrates"] = core::substrates_json(*r.portfolio);
       }
       // Per-request cache accounting (thread-local deltas); all-zero when
       // the server runs without a store, so only emitted when non-zero.
       const cache::StatsSnapshot& c = r.cache;
       if (c.hits() + c.misses() + c.evictions > 0) {
-        o["cache"] = json::Value(cache_object(c));
+        o["cache"] = cache::stats_json(c);
       }
       break;
     }
@@ -226,49 +186,38 @@ std::string render_response(const Response& response) {
 }
 
 std::string render_error(std::string_view id, std::string_view message) {
-  json::Object o;
-  o["id"] = json::Value(std::string(id));
-  o["kind"] = json::Value("error");
-  o["error"] = json::Value(std::string(message));
-  return render(o);
+  return render({{"id", std::string(id)},
+                 {"kind", "error"},
+                 {"error", std::string(message)}});
 }
 
 std::string render_pong(std::string_view id) {
-  json::Object o;
-  o["id"] = json::Value(std::string(id));
-  o["kind"] = json::Value("pong");
-  return render(o);
+  return render({{"id", std::string(id)}, {"kind", "pong"}});
 }
 
 std::string render_stats(std::string_view id, const ServiceStats& stats,
                          const cache::Store* store) {
-  json::Object o;
-  o["id"] = json::Value(std::string(id));
-  o["kind"] = json::Value("stats");
-  o["submitted"] = json::Value(static_cast<std::int64_t>(stats.submitted));
-  o["accepted"] = json::Value(static_cast<std::int64_t>(stats.accepted));
-  o["rejected"] = json::Value(static_cast<std::int64_t>(stats.rejected));
-  o["completed"] = json::Value(static_cast<std::int64_t>(stats.completed));
-  o["deadline_exceeded"] =
-      json::Value(static_cast<std::int64_t>(stats.deadline_exceeded));
-  o["errors"] = json::Value(static_cast<std::int64_t>(stats.errors));
-  o["queue_depth"] = json::Value(static_cast<std::int64_t>(stats.queue_depth));
-  o["workers"] = json::Value(static_cast<std::int64_t>(stats.workers));
+  json::Object o{{"id", std::string(id)},
+                 {"kind", "stats"},
+                 {"submitted", stats.submitted},
+                 {"accepted", stats.accepted},
+                 {"rejected", stats.rejected},
+                 {"completed", stats.completed},
+                 {"deadline_exceeded", stats.deadline_exceeded},
+                 {"errors", stats.errors},
+                 {"queue_depth", stats.queue_depth},
+                 {"workers", stats.workers}};
   if (store != nullptr) {
-    json::Object c = cache_object(store->stats());
-    c["entries"] = json::Value(static_cast<std::int64_t>(store->size()));
-    c["eviction"] =
-        json::Value(cache::eviction_name(store->options().eviction));
-    o["cache"] = json::Value(std::move(c));
+    json::Object c = cache::stats_json(store->stats());
+    c["entries"] = store->size();
+    c["eviction"] = cache::eviction_name(store->options().eviction);
+    o["cache"] = std::move(c);
   }
   return render(o);
 }
 
 std::string render_shutting_down(std::string_view id) {
-  json::Object o;
-  o["id"] = json::Value(std::string(id));
-  o["kind"] = json::Value("shutting-down");
-  return render(o);
+  return render({{"id", std::string(id)}, {"kind", "shutting-down"}});
 }
 
 }  // namespace speccc::serve

@@ -17,9 +17,9 @@
 
 #include "cache/snapshot.hpp"
 #include "nlp/lexicon.hpp"
-#include "serve/json.hpp"
 #include "shard/splitter.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 extern char** environ;
 
@@ -157,11 +157,6 @@ std::vector<std::string> read_rows(const std::string& path, bool& ok) {
   return rows;
 }
 
-std::uint64_t count_of(const serve::json::Value& doc, const char* key) {
-  const serve::json::Value* value = doc.find(key);
-  return value == nullptr ? 0 : static_cast<std::uint64_t>(value->as_number());
-}
-
 /// One shard's parsed wire output.
 struct ShardReport {
   std::vector<std::string> rows;
@@ -190,45 +185,31 @@ bool parse_shard_report(const std::string& rows_path,
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  serve::json::Value doc;
+  // Any type error (a wrong-typed, negative or fractional count) is as
+  // malformed as a syntax error: the attempt failed and is retried.
   try {
-    doc = serve::json::parse(buffer.str());
+    const util::json::Value doc = util::json::parse(buffer.str());
+    const std::size_t specs = doc.at("specs").as_array().size();
+    if (specs != report.rows.size()) {
+      why = "canonical rows (" + std::to_string(report.rows.size()) +
+            ") disagree with JSON specs (" + std::to_string(specs) + ")";
+      return false;
+    }
+    report.consistent = doc.at("consistent").as_count();
+    report.inconsistent = doc.at("inconsistent").as_count();
+    report.errors = doc.at("errors").as_count();
+    report.budget_exhausted = doc.at("budget_exhausted").as_count();
+    report.cancelled = doc.at("cancelled").as_count();
+    report.disagreements = doc.at("disagreements").as_count();
+    if (const util::json::Value* cache = doc.find("cache")) {
+      report.cache_enabled = true;
+      report.cache = cache::stats_from_json(*cache);
+    }
   } catch (const util::ParseError& e) {
-    why = std::string("unparseable JSON report: ") + e.what();
+    why = std::string("JSON report: ") + e.what();
     return false;
-  }
-  const serve::json::Value* specs = doc.find("specs");
-  if (specs == nullptr || specs->kind() != serve::json::Kind::kArray) {
-    why = "JSON report carries no specs array";
-    return false;
-  }
-  if (specs->as_array().size() != report.rows.size()) {
-    why = "canonical rows (" + std::to_string(report.rows.size()) +
-          ") disagree with JSON specs (" +
-          std::to_string(specs->as_array().size()) + ")";
-    return false;
-  }
-  report.consistent = count_of(doc, "consistent");
-  report.inconsistent = count_of(doc, "inconsistent");
-  report.errors = count_of(doc, "errors");
-  report.budget_exhausted = count_of(doc, "budget_exhausted");
-  report.cancelled = count_of(doc, "cancelled");
-  report.disagreements = count_of(doc, "disagreements");
-  if (const serve::json::Value* cache = doc.find("cache"); cache != nullptr) {
-    report.cache_enabled = true;
-    report.cache.l1_hits = count_of(*cache, "l1_hits");
-    report.cache.l1_misses = count_of(*cache, "l1_misses");
-    report.cache.l2_hits = count_of(*cache, "l2_hits");
-    report.cache.l2_misses = count_of(*cache, "l2_misses");
-    report.cache.evictions = count_of(*cache, "evictions");
   }
   return true;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  serve::json::write_string(out, s);
-  return out;
 }
 
 }  // namespace
@@ -441,53 +422,42 @@ std::string canonical(const MergedReport& report) {
 }
 
 std::string to_json(const MergedReport& report) {
-  std::ostringstream os;
-  os << "{\n  \"shards\": " << report.shards.size()
-     << ",\n  \"complete\": " << (report.complete ? "true" : "false")
-     << ",\n  \"specs\": " << report.specs()
-     << ",\n  \"wall_seconds\": " << report.wall_seconds
-     << ",\n  \"consistent\": " << report.consistent
-     << ",\n  \"inconsistent\": " << report.inconsistent
-     << ",\n  \"errors\": " << report.errors
-     << ",\n  \"budget_exhausted\": " << report.budget_exhausted
-     << ",\n  \"cancelled\": " << report.cancelled
-     << ",\n  \"disagreements\": " << report.disagreements
-     << ",\n  \"worker_failures\": " << report.worker_failures
-     << ",\n  \"retries\": " << report.retries_used;
-  if (!report.merge_error.empty()) {
-    os << ",\n  \"merge_error\": " << json_escape(report.merge_error);
-  }
-  if (report.cache_enabled) {
-    const cache::StatsSnapshot& c = report.cache_stats;
-    os << ",\n  \"cache\": {\"l1_hits\": " << c.l1_hits
-       << ", \"l1_misses\": " << c.l1_misses << ", \"l2_hits\": " << c.l2_hits
-       << ", \"l2_misses\": " << c.l2_misses
-       << ", \"evictions\": " << c.evictions << "}";
-  }
-  os << ",\n  \"shard_outcomes\": [\n";
-  for (std::size_t s = 0; s < report.shards.size(); ++s) {
-    const ShardOutcome& o = report.shards[s];
-    os << "    {\"shard\": " << o.index << ", \"completed\": "
-       << (o.completed ? "true" : "false") << ", \"exit_code\": " << o.exit_code
-       << ", \"specs\": " << o.specs << ", \"attempts\": [";
-    for (std::size_t a = 0; a < o.attempts.size(); ++a) {
-      const WorkerAttempt& attempt = o.attempts[a];
-      os << (a > 0 ? ", " : "") << "{\"attempt\": " << attempt.attempt
-         << ", \"exit_code\": " << attempt.exit_code << ", \"signalled\": "
-         << (attempt.signalled ? "true" : "false")
-         << ", \"timed_out\": " << (attempt.timed_out ? "true" : "false")
-         << ", \"seconds\": " << attempt.seconds;
-      if (!attempt.failure.empty()) {
-        os << ", \"failure\": " << json_escape(attempt.failure);
-      }
-      os << "}";
+  namespace json = util::json;
+  json::Array outcomes;
+  for (const ShardOutcome& o : report.shards) {
+    json::Array attempts;
+    for (const WorkerAttempt& attempt : o.attempts) {
+      json::Object a{
+          {"attempt", attempt.attempt}, {"exit_code", attempt.exit_code},
+          {"signalled", attempt.signalled}, {"timed_out", attempt.timed_out},
+          {"seconds", attempt.seconds}};
+      if (!attempt.failure.empty()) a["failure"] = attempt.failure;
+      attempts.emplace_back(std::move(a));
     }
-    os << "]";
-    if (!o.error.empty()) os << ", \"error\": " << json_escape(o.error);
-    os << "}" << (s + 1 < report.shards.size() ? "," : "") << "\n";
+    json::Object outcome{{"shard", o.index}, {"completed", o.completed},
+                         {"exit_code", o.exit_code}, {"specs", o.specs},
+                         {"attempts", std::move(attempts)}};
+    if (!o.error.empty()) outcome["error"] = o.error;
+    outcomes.emplace_back(std::move(outcome));
   }
-  os << "  ]\n}\n";
-  return os.str();
+
+  json::Object doc{
+      {"shards", report.shards.size()}, {"complete", report.complete},
+      {"specs", report.specs()}, {"wall_seconds", report.wall_seconds},
+      {"consistent", report.consistent}, {"inconsistent", report.inconsistent},
+      {"errors", report.errors}, {"budget_exhausted", report.budget_exhausted},
+      {"cancelled", report.cancelled}, {"disagreements", report.disagreements},
+      {"worker_failures", report.worker_failures},
+      {"retries", report.retries_used},
+      {"shard_outcomes", std::move(outcomes)}};
+  if (!report.merge_error.empty()) doc["merge_error"] = report.merge_error;
+  if (report.cache_enabled) {
+    doc["cache"] = cache::stats_json(report.cache_stats);
+  }
+  std::string out;
+  json::write(out, std::move(doc));
+  out += '\n';
+  return out;
 }
 
 void print_summary(std::ostream& os, const MergedReport& report) {

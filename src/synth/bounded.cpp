@@ -220,6 +220,15 @@ std::vector<ltl::Valuation> enumerate_letters(const std::vector<std::string>& pr
 
 }  // namespace
 
+const char* realizability_name(Realizability r) {
+  switch (r) {
+    case Realizability::kRealizable: return "realizable";
+    case Realizability::kUnrealizable: return "unrealizable";
+    case Realizability::kUnknown: return "unknown";
+  }
+  return "?";
+}
+
 BoundedOutcome bounded_synthesize(ltl::Formula spec, const IoSignature& signature,
                                   const BoundedOptions& options) {
   if (signature.inputs.size() + signature.outputs.size() >

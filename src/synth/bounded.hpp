@@ -32,6 +32,10 @@ namespace speccc::synth {
 
 enum class Realizability { kRealizable, kUnrealizable, kUnknown };
 
+/// "realizable" / "unrealizable" / "unknown": the spelling every report
+/// (canonical rows, batch JSON, serve lines, difftest messages) uses.
+[[nodiscard]] const char* realizability_name(Realizability r);
+
 struct BoundedOptions {
   int max_k = 8;              // counter bound escalation limit
   bool extract = true;        // build the Mealy controller on success

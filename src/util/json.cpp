@@ -1,4 +1,4 @@
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 #include <cctype>
 #include <charconv>
@@ -7,7 +7,7 @@
 
 #include "util/diagnostics.hpp"
 
-namespace speccc::serve::json {
+namespace speccc::util::json {
 
 namespace {
 
@@ -25,6 +25,15 @@ bool Value::as_bool() const {
 double Value::as_number() const {
   if (kind_ != Kind::kNumber) fail("expected a number");
   return number_;
+}
+
+std::uint64_t Value::as_count() const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double n = as_number();
+  if (!(n >= 0.0 && n <= kMaxExact && n == std::floor(n))) {
+    fail("expected a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(n);
 }
 
 const std::string& Value::as_string() const {
@@ -48,6 +57,12 @@ const Value* Value::find(std::string_view key) const {
   return it == object_.end() ? nullptr : &it->second;
 }
 
+const Value& Value::at(std::string_view key) const {
+  const Value* member = find(key);
+  if (member == nullptr) fail("missing \"" + std::string(key) + "\"");
+  return *member;
+}
+
 namespace {
 
 class Parser {
@@ -62,7 +77,7 @@ class Parser {
   }
 
  private:
-  static constexpr int kMaxDepth = 64;  // one protocol line, not a tree dump
+  static constexpr int kMaxDepth = 64;  // reports nest a few levels deep
 
   void skip_space() {
     while (pos_ < text_.size() &&
@@ -275,7 +290,7 @@ void write_string(std::string& out, std::string_view text) {
 
 void write_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
-    out += "0";  // JSON has no NaN/Inf; the protocol never produces them
+    out += "0";  // JSON has no NaN/Inf; no report produces them
     return;
   }
   if (value == std::floor(value) && std::fabs(value) < 1e15) {
@@ -284,9 +299,8 @@ void write_number(std::string& out, double value) {
     out += buf;
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
+  char buf[32];  // shortest form that parses back to the same double
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 void write(std::string& out, const Value& value) {
@@ -321,4 +335,4 @@ void write(std::string& out, const Value& value) {
   }
 }
 
-}  // namespace speccc::serve::json
+}  // namespace speccc::util::json

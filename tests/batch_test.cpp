@@ -19,9 +19,11 @@
 #include "difftest/harness.hpp"
 #include "difftest/random.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 namespace batch = speccc::batch;
 namespace difftest = speccc::difftest;
+namespace json = speccc::util::json;
 
 namespace {
 
@@ -171,7 +173,7 @@ TEST(BatchCache, DisabledByDefault) {
   const batch::BatchReport report = run_with_jobs(batch::robot_tasks(), 1);
   EXPECT_FALSE(report.cache_enabled);
   EXPECT_EQ(report.cache_stats.hits() + report.cache_stats.misses(), 0u);
-  EXPECT_EQ(batch::to_json(report).find("\"cache\""), std::string::npos);
+  EXPECT_EQ(json::parse(batch::to_json(report)).find("cache"), nullptr);
 }
 
 TEST(BatchScheduler, ResultsKeepInputOrderAndWorkerIdsAreInRange) {
@@ -306,19 +308,46 @@ TEST(BatchAgreement, SubstratesAgreeOnTheRobotCorpus) {
 
 TEST(BatchReporting, JsonContainsEverySpecAndTheJobCount) {
   const batch::BatchReport report = run_with_jobs(batch::robot_tasks(), 2);
-  const std::string json = batch::to_json(report);
-  EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
-  for (const batch::TaskResult& r : report.results) {
-    EXPECT_NE(json.find(r.name), std::string::npos);
+  const std::string text = batch::to_json(report);
+  ASSERT_EQ(text.back(), '\n');
+  const json::Value doc = json::parse(text);
+  EXPECT_EQ(doc.at("jobs").as_count(), 2u);
+  const json::Array& specs = doc.at("specs").as_array();
+  ASSERT_EQ(specs.size(), report.results.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].at("name").as_string(), report.results[i].name);
+    // Per-stage timings are diagnostics: in the JSON, never canonical.
+    for (const char* field : {"translation_seconds", "synthesis_seconds",
+                              "refinement_seconds", "screen_seconds"}) {
+      EXPECT_GE(specs[i].at(field).as_number(), 0.0) << field;
+      EXPECT_EQ(batch::canonical(report).find(field), std::string::npos)
+          << field;
+    }
   }
-  // Per-stage timings are diagnostics: in the JSON, never canonical.
-  for (const char* field : {"translation_seconds", "synthesis_seconds",
-                            "refinement_seconds", "screen_seconds"}) {
-    EXPECT_NE(json.find(std::string("\"") + field + "\": "), std::string::npos)
-        << field;
-    EXPECT_EQ(batch::canonical(report).find(field), std::string::npos)
-        << field;
-  }
+}
+
+// Every string -- here a spec name with a quote, a backslash, a newline,
+// a control byte and UTF-8 -- survives batch::to_json -> util::json::parse.
+TEST(BatchReporting, JsonRoundTripsAwkwardSpecNames) {
+  const std::string name = "quote\" back\\slash\nnew\x01line caf\xc3\xa9";
+  batch::SpecTask task = batch::robot_tasks().front();
+  task.name = name;
+  const batch::BatchReport report = run_with_jobs({task}, 1);
+  const json::Value doc = json::parse(batch::to_json(report));
+  EXPECT_EQ(doc.at("specs").as_array().at(0).at("name").as_string(), name);
+}
+
+// The cache counters batch::to_json writes read back equal through the
+// reader the shard coordinator merges worker reports with.
+TEST(BatchReporting, JsonCacheStatsReadBackThroughTheShardReader) {
+  batch::BatchOptions options;
+  options.jobs = 2;
+  options.pipeline.cache = std::make_shared<speccc::cache::Store>();
+  const batch::BatchReport report = batch::check(batch::robot_tasks(), options);
+  ASSERT_GT(report.cache_stats.misses(), 0u);
+  const json::Value doc = json::parse(batch::to_json(report));
+  EXPECT_EQ(speccc::cache::stats_from_json(doc.at("cache")),
+            report.cache_stats);
 }
 
 // The per-worker BDD manager counters are aggregated into the report and
@@ -329,10 +358,18 @@ TEST(BatchReporting, BddStatsSurfaceInJsonButNotInCanonical) {
   // Robot corpus specs sit in the symbolic engine's pattern fragment.
   EXPECT_GT(report.bdd.tasks, 0u);
   EXPECT_GT(report.bdd.peak_nodes_max, 0u);
-  const std::string json = batch::to_json(report);
-  EXPECT_NE(json.find("\"bdd\""), std::string::npos);
-  EXPECT_NE(json.find("\"peak_nodes_max\""), std::string::npos);
-  EXPECT_NE(json.find("\"bdd_peak_nodes\""), std::string::npos);
+  const json::Value doc = json::parse(batch::to_json(report));
+  EXPECT_EQ(doc.at("bdd").at("tasks").as_count(), report.bdd.tasks);
+  EXPECT_EQ(doc.at("bdd").at("peak_nodes_max").as_count(),
+            report.bdd.peak_nodes_max);
+  std::size_t specs_with_peak = 0;
+  for (const json::Value& spec : doc.at("specs").as_array()) {
+    if (const json::Value* peak = spec.find("bdd_peak_nodes")) {
+      EXPECT_GT(peak->as_count(), 0u);
+      ++specs_with_peak;
+    }
+  }
+  EXPECT_GT(specs_with_peak, 0u);
   const std::string canon = batch::canonical(report);
   EXPECT_EQ(canon.find("bdd"), std::string::npos);
   EXPECT_EQ(canon.find("peak"), std::string::npos);

@@ -1,5 +1,5 @@
-// Tests for the long-running service layer (serve/): the JSON wire
-// format, the NDJSON protocol codec, and the Service engine's contracts
+// Tests for the long-running service layer (serve/): the NDJSON protocol
+// codec and the Service engine's contracts
 // -- verdicts byte-identical to batch::check, bounded-queue backpressure
 // with retry hints, priority ordering, deadline handling (never silently
 // dropped), per-request cache accounting, and drain-complete shutdown.
@@ -18,15 +18,15 @@
 #include "batch/batch.hpp"
 #include "cache/store.hpp"
 #include "difftest/harness.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
 
 namespace batch = speccc::batch;
 namespace cache = speccc::cache;
 namespace serve = speccc::serve;
-namespace json = speccc::serve::json;
+namespace json = speccc::util::json;
 using speccc::util::ParseError;
 
 namespace {
@@ -52,59 +52,6 @@ serve::Request make_request(std::string id, batch::SpecTask spec,
 }
 
 }  // namespace
-
-// ---- serve::json ------------------------------------------------------------
-
-TEST(ServeJson, ParsesScalarsArraysAndObjects) {
-  const json::Value doc =
-      json::parse(R"({"a":1,"b":[true,null,"x"],"c":{"d":-2.5}})");
-  ASSERT_EQ(doc.kind(), json::Kind::kObject);
-  EXPECT_EQ(doc.find("a")->as_number(), 1.0);
-  const json::Array& b = doc.find("b")->as_array();
-  ASSERT_EQ(b.size(), 3u);
-  EXPECT_TRUE(b[0].as_bool());
-  EXPECT_TRUE(b[1].is_null());
-  EXPECT_EQ(b[2].as_string(), "x");
-  EXPECT_EQ(doc.find("c")->find("d")->as_number(), -2.5);
-  EXPECT_EQ(doc.find("missing"), nullptr);
-}
-
-TEST(ServeJson, DecodesEscapesIncludingSurrogatePairs) {
-  const json::Value doc = json::parse(R"("a\n\t\"\\é😀")");
-  EXPECT_EQ(doc.as_string(), "a\n\t\"\\\xc3\xa9\xf0\x9f\x98\x80");
-}
-
-TEST(ServeJson, RejectsMalformedDocuments) {
-  EXPECT_THROW(json::parse(""), ParseError);
-  EXPECT_THROW(json::parse("{"), ParseError);
-  EXPECT_THROW(json::parse("{}extra"), ParseError);
-  EXPECT_THROW(json::parse("{\"a\":}"), ParseError);
-  EXPECT_THROW(json::parse("[1,]"), ParseError);
-  EXPECT_THROW(json::parse("nul"), ParseError);
-  EXPECT_THROW(json::parse("\"unterminated"), ParseError);
-  EXPECT_THROW(json::parse("\"bad \\q escape\""), ParseError);
-  EXPECT_THROW(json::parse("\"lone \\ud800 surrogate\""), ParseError);
-  EXPECT_THROW(json::parse("1.2.3"), ParseError);
-  // Depth cap: reject a pathological nesting chain rather than recurse.
-  std::string deep(100, '[');
-  deep += std::string(100, ']');
-  EXPECT_THROW(json::parse(deep), ParseError);
-  // Checked accessors throw on kind mismatch.
-  EXPECT_THROW((void)json::parse("42").as_string(), ParseError);
-}
-
-TEST(ServeJson, WritesDeterministicallyWithSortedKeysAndExactIntegers) {
-  json::Object o;
-  o["zeta"] = json::Value(std::int64_t{1234567890123});
-  o["alpha"] = json::Value(0.5);
-  o["mid"] = json::Value("a\"b\nc");
-  std::string out;
-  json::write(out, json::Value(o));
-  EXPECT_EQ(out, R"({"alpha":0.5,"mid":"a\"b\nc","zeta":1234567890123})");
-  // Round-trip: what we write, we parse.
-  const json::Value back = json::parse(out);
-  EXPECT_EQ(back.find("zeta")->as_number(), 1234567890123.0);
-}
 
 // ---- serve protocol codec ---------------------------------------------------
 

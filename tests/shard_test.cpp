@@ -27,10 +27,12 @@
 #include "difftest/harness.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/splitter.hpp"
+#include "util/json.hpp"
 
 namespace batch = speccc::batch;
 namespace shard = speccc::shard;
 namespace fs = std::filesystem;
+namespace json = speccc::util::json;
 
 namespace {
 
@@ -313,6 +315,49 @@ TEST(ShardFaults, ExhaustedRetriesYieldStructuredErrorAndExitCode3) {
   EXPECT_EQ(report.worker_failures, 2u);
 }
 
+// A worker that exits cleanly with a well-formed but wrong-typed report
+// (a string or a negative count) is a failed attempt like any malformed
+// output: recorded, retried, and -- when every attempt does it -- exit 3,
+// never an abort of the coordinator.
+TEST(ShardFaults, WrongTypedReportIsAFailedAttemptNotAnAbort) {
+  const std::string dir = test_dir();
+  for (const std::string report :
+       {R"({"consistent": "one", "specs": [{}]})",
+        R"({"consistent": -1, "inconsistent": 0, "errors": 0,)"
+        R"( "budget_exhausted": 0, "cancelled": 0, "disagreements": 0,)"
+        R"( "specs": [{}]})"}) {
+    // Shard 0 runs the real worker, then overwrites its --json report.
+    const std::string wrapper = write_wrapper(
+        dir, "mistyped",
+        "if [ \"$SPECCC_SHARD_INDEX\" = \"0\" ]; then\n"
+        "  \"" SPECCC_BATCH_BIN "\" \"$@\"; code=$?\n"
+        "  while [ $# -gt 0 ]; do\n"
+        "    if [ \"$1\" = --json ]; then printf '%s' '" + report +
+            "' > \"$2\"; fi\n"
+        "    shift\n"
+        "  done\n"
+        "  exit $code\n"
+        "fi\n");
+    const int exit_code = run_command(
+        std::string(SPECCC_SHARD_BIN) + " --worker " + wrapper +
+            " --generate 2 --seed 5 --shards 2 --retries 1 --quiet --json " +
+            dir + "/report.json",
+        dir + "/out", dir + "/err");
+    EXPECT_EQ(exit_code, 3) << report << slurp(dir + "/err");
+    const json::Value merged = json::parse(slurp(dir + "/report.json"));
+    EXPECT_FALSE(merged.at("complete").as_bool());
+    EXPECT_EQ(merged.at("worker_failures").as_count(), 2u);
+    const json::Value& shard0 = merged.at("shard_outcomes").as_array().at(0);
+    EXPECT_FALSE(shard0.at("completed").as_bool());
+    const json::Array& attempts = shard0.at("attempts").as_array();
+    ASSERT_EQ(attempts.size(), 2u);
+    EXPECT_NE(attempts[0].at("failure").as_string().find(
+                  "malformed shard report"),
+              std::string::npos)
+        << report;
+  }
+}
+
 // ---- warm-start snapshots through the CLI tools -----------------------------
 
 TEST(ShardSnapshot, WarmStartFromMergedSnapshotIsByteIdenticalWithZeroMisses) {
@@ -376,20 +421,41 @@ TEST(ShardSnapshot, RejectedSnapshotIsAStructuredFailureNotAColdStart) {
 
 TEST(ShardCli, CliMergedReportMatchesBatchCliByteForByte) {
   const std::string dir = test_dir();
-  const std::string inputs = "--corpus table1";
-  const int batch_exit =
-      run_command(std::string(SPECCC_BATCH_BIN) + " " + inputs +
-                      " --canonical --quiet",
-                  dir + "/batch.out", dir + "/batch.err");
-  const int shard_exit =
-      run_command(std::string(SPECCC_SHARD_BIN) + " " + inputs +
-                      " --shards 3 --canonical --quiet --json " +
-                      dir + "/report.json",
-                  dir + "/shard.out", dir + "/shard.err");
-  // Same bytes, same exit code -- sharding is invisible to callers.
-  EXPECT_EQ(shard_exit, batch_exit) << slurp(dir + "/shard.err");
-  EXPECT_EQ(slurp(dir + "/shard.out"), slurp(dir + "/batch.out"));
-  const std::string json = slurp(dir + "/report.json");
-  EXPECT_NE(json.find("\"shards\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"worker_failures\": 0"), std::string::npos);
+  // The default time abstraction and the SMT backend (a worker
+  // passthrough flag) must both shard invisibly.
+  for (const std::string inputs :
+       {"--corpus table1", "--corpus table1 --timeabs smt"}) {
+    const int batch_exit =
+        run_command(std::string(SPECCC_BATCH_BIN) + " " + inputs +
+                        " --canonical --quiet",
+                    dir + "/batch.out", dir + "/batch.err");
+    const int shard_exit =
+        run_command(std::string(SPECCC_SHARD_BIN) + " " + inputs +
+                        " --shards 3 --canonical --quiet --json " +
+                        dir + "/report.json",
+                    dir + "/shard.out", dir + "/shard.err");
+    // Same bytes, same exit code -- sharding is invisible to callers.
+    EXPECT_EQ(shard_exit, batch_exit) << inputs << slurp(dir + "/shard.err");
+    EXPECT_EQ(slurp(dir + "/shard.out"), slurp(dir + "/batch.out")) << inputs;
+    const json::Value report = json::parse(slurp(dir + "/report.json"));
+    EXPECT_EQ(report.at("shards").as_count(), 3u) << inputs;
+    EXPECT_EQ(report.at("worker_failures").as_count(), 0u) << inputs;
+  }
+}
+
+// A numeric flag value is taken whole or not at all: "2x" is not 2.
+TEST(ShardCli, MalformedNumericFlagValuesAreUsageErrors) {
+  const std::string dir = test_dir();
+  for (const std::string& command :
+       {std::string(SPECCC_BATCH_BIN) + " --generate 1 --jobs 2x",
+        std::string(SPECCC_BATCH_BIN) + " --generate 1x",
+        std::string(SPECCC_BATCH_BIN) + " --generate 1 --seed abc",
+        std::string(SPECCC_BATCH_BIN) + " --generate 1 --time-budget 1s",
+        std::string(SPECCC_SHARD_BIN) + " --generate 1 --worker-timeout abc",
+        std::string(SPECCC_SHARD_BIN) + " --generate 1 --shards 2x"}) {
+    EXPECT_EQ(run_command(command, dir + "/out", dir + "/err"), 1) << command;
+    EXPECT_NE(slurp(dir + "/err").find("bad value"), std::string::npos)
+        << command;
+    EXPECT_TRUE(slurp(dir + "/out").empty()) << command;
+  }
 }

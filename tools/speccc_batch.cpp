@@ -103,6 +103,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,6 +120,7 @@
 #include "shard/splitter.hpp"
 #include "timeabs/abstraction.hpp"
 #include "util/diagnostics.hpp"
+#include "util/strings.hpp"
 
 namespace fs = std::filesystem;
 
@@ -223,18 +225,25 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      if (arg == "--jobs") {
-        options.jobs = std::atoi(next_arg().c_str());
-        if (options.jobs < 1) {
-          std::cerr << "--jobs must be at least 1\n";
-          return usage();
+      // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+      const auto next_number = [&]<typename T>(
+                                   T min,
+                                   T max = std::numeric_limits<T>::max()) {
+        const std::string text = next_arg();
+        if (const auto value = util::parse_number(text, min, max)) {
+          return *value;
         }
+        std::cerr << arg << ": bad value \"" << text << "\"\n";
+        std::exit(usage());
+      };
+      if (arg == "--jobs") {
+        options.jobs = next_number(1);
       } else if (arg == "--json") {
         json_path = next_arg();
       } else if (arg == "--canonical") {
         canonical_output = true;
       } else if (arg == "--time-budget") {
-        options.task_time_budget_seconds = std::atof(next_arg().c_str());
+        options.task_time_budget_seconds = next_number(0.0);
       } else if (arg == "--substrate") {
         const std::string spec = next_arg();
         try {
@@ -250,13 +259,8 @@ int main(int argc, char** argv) {
           options.pipeline.localization.max_correction_sets = 4;
         }
       } else if (arg == "--max-correction-sets") {
-        const long long n = std::atoll(next_arg().c_str());
-        if (n < 1) {
-          std::cerr << "--max-correction-sets must be at least 1\n";
-          return usage();
-        }
         options.pipeline.localization.max_correction_sets =
-            static_cast<std::size_t>(n);
+            next_number(std::size_t{1});
       } else if (arg == "--strict-next") {
         options.pipeline.translation.next_mode = translate::NextMode::kStrict;
       } else if (arg == "--timeabs") {
@@ -282,12 +286,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache") {
         use_cache = true;
       } else if (arg == "--cache-max") {
-        const long long n = std::atoll(next_arg().c_str());
-        if (n < 1) {
-          std::cerr << "--cache-max must be at least 1\n";
-          return usage();
-        }
-        cache_max = static_cast<std::size_t>(n);
+        cache_max = next_number(std::size_t{1});
       } else if (arg == "--cache-stats") {
         use_cache = true;
         print_cache_stats = true;
@@ -304,16 +303,15 @@ int main(int argc, char** argv) {
         use_snapshot = true;
         use_cache = true;
       } else if (arg == "--shard-index") {
-        shard_index = std::atoll(next_arg().c_str());
+        shard_index = next_number(0LL);
       } else if (arg == "--shard-count") {
-        shard_count = std::atoll(next_arg().c_str());
+        shard_count = next_number(1LL);
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--seed") {
-        seed = static_cast<std::uint64_t>(
-            std::strtoull(next_arg().c_str(), nullptr, 10));
+        seed = next_number(std::uint64_t{0});
       } else if (arg == "--generate") {
-        generate_count = std::atoi(next_arg().c_str());
+        generate_count = next_number(0);
       } else if (arg == "--manifest") {
         add_manifest(next_arg(), tasks);
       } else if (arg == "--corpus") {

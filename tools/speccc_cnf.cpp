@@ -29,12 +29,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aig/cnf.hpp"
 #include "sat/solver.hpp"
 #include "smt/bitblast.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -139,36 +142,29 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next_int = [&](long long min_value) -> long long {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        std::exit(usage());
+    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+    const auto next_number = [&]<typename T>(
+                                 T min, T max = std::numeric_limits<T>::max()) {
+      const std::string_view text = i + 1 < argc ? argv[++i] : "";
+      if (const auto value = speccc::util::parse_number(text, min, max)) {
+        return *value;
       }
-      char* end = nullptr;
-      const long long value = std::strtoll(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || value < min_value) {
-        std::cerr << arg << ": bad value " << argv[i] << "\n";
-        std::exit(usage());
-      }
-      return value;
+      std::cerr << arg << ": bad value \"" << text << "\"\n";
+      std::exit(usage());
     };
     if (arg == "--multiplier") {
       instance = Instance::kMultiplier;
-      size = next_int(1);
+      size = next_number(1LL);
     } else if (arg == "--miter") {
       instance = Instance::kMiter;
-      size = next_int(1);
+      size = next_number(1LL);
     } else if (arg == "--pigeonhole") {
       instance = Instance::kPigeonhole;
-      size = next_int(2);
+      size = next_number(2LL);
     } else if (arg == "--tseitin") {
       tseitin = true;
     } else if (arg == "--cut-size") {
-      cut_size = static_cast<int>(next_int(2));
-      if (cut_size > 6) {
-        std::cerr << "--cut-size: truth tables are 64-bit, so k <= 6\n";
-        return usage();
-      }
+      cut_size = next_number(2, 6);  // truth tables are 64-bit, so k <= 6
     } else if (arg == "--solve") {
       solve = true;
     } else if (arg == "-o") {

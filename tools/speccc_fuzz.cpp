@@ -31,10 +31,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "difftest/circuit.hpp"
 #include "difftest/harness.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -59,39 +62,36 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next_int = [&](long long min_value) -> long long {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        std::exit(usage());
+    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+    const auto next_number = [&]<typename T>(
+                                 T min, T max = std::numeric_limits<T>::max()) {
+      const std::string_view text = i + 1 < argc ? argv[++i] : "";
+      if (const auto value = speccc::util::parse_number(text, min, max)) {
+        return *value;
       }
-      char* end = nullptr;
-      const long long value = std::strtoll(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || value < min_value) {
-        std::cerr << arg << ": bad value " << argv[i] << "\n";
-        std::exit(usage());
-      }
-      return value;
+      std::cerr << arg << ": bad value \"" << text << "\"\n";
+      std::exit(usage());
     };
     if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(next_int(0));
+      options.seed = next_number(std::uint64_t{0});
     } else if (arg == "--formulas") {
-      options.formula_cases = static_cast<int>(next_int(0));
+      options.formula_cases = next_number(0);
     } else if (arg == "--specs") {
-      options.spec_cases = static_cast<int>(next_int(0));
+      options.spec_cases = next_number(0);
     } else if (arg == "--formula-case") {
-      options.only_formula_case = static_cast<int>(next_int(0));
+      options.only_formula_case = next_number(0);
     } else if (arg == "--circuits") {
-      circuit_cases = static_cast<int>(next_int(0));
+      circuit_cases = next_number(0);
     } else if (arg == "--spec-case") {
-      options.only_spec_case = static_cast<int>(next_int(0));
+      options.only_spec_case = next_number(0);
     } else if (arg == "--circuit-case") {
-      only_circuit_case = static_cast<int>(next_int(0));
+      only_circuit_case = next_number(0);
     } else if (arg == "--max-depth") {
-      options.formula.max_depth = static_cast<std::size_t>(next_int(1));
+      options.formula.max_depth = next_number(std::size_t{1});
     } else if (arg == "--props") {
-      props = static_cast<std::size_t>(next_int(1));
+      props = next_number(std::size_t{1});
     } else if (arg == "--lassos") {
-      options.oracle.lassos_per_formula = static_cast<int>(next_int(1));
+      options.oracle.lassos_per_formula = next_number(1);
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--quiet") {

@@ -52,6 +52,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -62,9 +63,10 @@
 #include "batch/corpus_tasks.hpp"
 #include "core/substrate.hpp"
 #include "difftest/harness.hpp"
-#include "serve/json.hpp"
 #include "serve/net.hpp"
 #include "util/diagnostics.hpp"
+#include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -119,12 +121,12 @@ std::size_t index_of(const Run& run, const std::string& id) {
 /// protocol violation (unparseable, unknown id, duplicate).
 bool record_response(Run& run, const std::string& line,
                      const std::map<std::size_t, Clock::time_point>& sent_at) {
-  using speccc::serve::json::Kind;
+  using speccc::util::json::Kind;
   std::string kind;
   std::string id;
   std::string canonical;
   try {
-    const auto doc = speccc::serve::json::parse(line);
+    const auto doc = speccc::util::json::parse(line);
     if (doc.kind() != Kind::kObject) throw speccc::util::ParseError("not an object");
     if (const auto* v = doc.find("id"); v != nullptr) id = v->as_string();
     if (const auto* v = doc.find("kind"); v != nullptr) kind = v->as_string();
@@ -305,33 +307,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--port") port = std::atoi(next_arg().c_str());
+    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+    const auto next_number = [&]<typename T>(
+                                 T min, T max = std::numeric_limits<T>::max()) {
+      const std::string text = next_arg();
+      if (const auto value = util::parse_number(text, min, max)) return *value;
+      std::cerr << arg << ": bad value \"" << text << "\"\n";
+      std::exit(usage());
+    };
+    if (arg == "--port") port = next_number(0, 65535);
     else if (arg == "--port-file") port_file = next_arg();
-    else if (arg == "--generate") generate_count = std::atoi(next_arg().c_str());
-    else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(
-          std::strtoull(next_arg().c_str(), nullptr, 10));
-    } else if (arg == "--corpus") corpus_name = next_arg();
-    else if (arg == "--requests") {
-      requests = static_cast<std::size_t>(std::atoll(next_arg().c_str()));
-    } else if (arg == "--connections") {
-      connections = std::atoi(next_arg().c_str());
-      if (connections < 1) {
-        std::cerr << "--connections must be at least 1\n";
-        return usage();
-      }
-    } else if (arg == "--rate") rate = std::atof(next_arg().c_str());
-    else if (arg == "--duration") duration_seconds = std::atof(next_arg().c_str());
-    else if (arg == "--deadline-ms") deadline_ms = std::atof(next_arg().c_str());
+    else if (arg == "--generate") generate_count = next_number(0);
+    else if (arg == "--seed") seed = next_number(std::uint64_t{0});
+    else if (arg == "--corpus") corpus_name = next_arg();
+    else if (arg == "--requests") requests = next_number(std::size_t{0});
+    else if (arg == "--connections") connections = next_number(1);
+    else if (arg == "--rate") rate = next_number(0.0);
+    else if (arg == "--duration") duration_seconds = next_number(0.0);
+    else if (arg == "--deadline-ms") deadline_ms = next_number(0.0);
     else if (arg == "--deadline-fraction") {
-      deadline_fraction = std::atof(next_arg().c_str());
-    } else if (arg == "--priority-spread") {
-      priority_spread = std::atoi(next_arg().c_str());
-      if (priority_spread < 1) {
-        std::cerr << "--priority-spread must be at least 1\n";
-        return usage();
-      }
-    } else if (arg == "--substrate") {
+      deadline_fraction = next_number(0.0, 1.0);
+    } else if (arg == "--priority-spread") priority_spread = next_number(1);
+    else if (arg == "--substrate") {
       substrate_spec = next_arg();
       try {
         (void)core::SubstrateSpec::parse(substrate_spec);
@@ -395,35 +392,28 @@ int main(int argc, char** argv) {
   double deadline_acc = 0.0;
   for (std::size_t k = 0; k < requests; ++k) {
     const batch::SpecTask& spec = workload[k % workload.size()];
-    serve::json::Object o;
-    o["method"] = serve::json::Value("check");
-    o["id"] = serve::json::Value("q" + std::to_string(k));
-    o["name"] = serve::json::Value(spec.name);
-    serve::json::Array reqs;
+    util::json::Array reqs;
     for (const translate::RequirementText& r : spec.requirements) {
-      serve::json::Object item;
-      item["id"] = serve::json::Value(r.id);
-      item["text"] = serve::json::Value(r.text);
-      reqs.push_back(serve::json::Value(std::move(item)));
+      reqs.emplace_back(util::json::Object{{"id", r.id}, {"text", r.text}});
     }
-    o["requirements"] = serve::json::Value(std::move(reqs));
-    if (!substrate_spec.empty()) {
-      o["substrate"] = serve::json::Value(substrate_spec);
-    }
+    util::json::Object o{{"method", "check"},
+                         {"id", "q" + std::to_string(k)},
+                         {"name", spec.name},
+                         {"requirements", std::move(reqs)}};
+    if (!substrate_spec.empty()) o["substrate"] = substrate_spec;
     if (priority_spread > 1) {
-      o["priority"] = serve::json::Value(
-          static_cast<std::int64_t>(k % static_cast<std::size_t>(priority_spread)));
+      o["priority"] = k % static_cast<std::size_t>(priority_spread);
     }
     // Deterministic deadline mix: an accumulator crosses 1.0 on exactly
     // round(fraction * requests) of the indices.
     deadline_acc += deadline_fraction;
     if (deadline_ms > 0.0 && deadline_acc >= 1.0) {
       deadline_acc -= 1.0;
-      o["deadline_ms"] = serve::json::Value(deadline_ms);
+      o["deadline_ms"] = deadline_ms;
     }
     PlannedRequest planned;
     planned.id = "q" + std::to_string(k);
-    serve::json::write(planned.line, serve::json::Value(std::move(o)));
+    util::json::write(planned.line, std::move(o));
     planned.line += '\n';
     run.plan.push_back(std::move(planned));
   }

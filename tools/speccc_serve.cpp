@@ -58,6 +58,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,6 +77,7 @@
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "util/diagnostics.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -200,38 +202,28 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+    const auto next_number = [&]<typename T>(
+                                 T min, T max = std::numeric_limits<T>::max()) {
+      const std::string text = next_arg();
+      if (const auto value = util::parse_number(text, min, max)) return *value;
+      std::cerr << arg << ": bad value \"" << text << "\"\n";
+      std::exit(usage());
+    };
     if (arg == "--port") {
-      port = std::atoi(next_arg().c_str());
-      if (port < 0 || port > 65535) {
-        std::cerr << "--port must be in [0, 65535]\n";
-        return usage();
-      }
+      port = next_number(0, 65535);
     } else if (arg == "--port-file") {
       port_file = next_arg();
     } else if (arg == "--workers") {
-      options.workers = std::atoi(next_arg().c_str());
-      if (options.workers < 1) {
-        std::cerr << "--workers must be at least 1\n";
-        return usage();
-      }
+      options.workers = next_number(1);
     } else if (arg == "--queue-max") {
-      const long long n = std::atoll(next_arg().c_str());
-      if (n < 1) {
-        std::cerr << "--queue-max must be at least 1\n";
-        return usage();
-      }
-      options.queue_capacity = static_cast<std::size_t>(n);
+      options.queue_capacity = next_number(std::size_t{1});
     } else if (arg == "--default-deadline-ms") {
-      options.default_deadline_seconds = std::atof(next_arg().c_str()) / 1000.0;
+      options.default_deadline_seconds = next_number(0.0) / 1000.0;
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--cache-max") {
-      const long long n = std::atoll(next_arg().c_str());
-      if (n < 1) {
-        std::cerr << "--cache-max must be at least 1\n";
-        return usage();
-      }
-      cache_max = static_cast<std::size_t>(n);
+      cache_max = next_number(std::size_t{1});
     } else if (arg == "--cache-snapshot") {
       const std::string spec = next_arg();
       const auto comma = spec.find(',');
@@ -266,13 +258,8 @@ int main(int argc, char** argv) {
         options.pipeline.localization.max_correction_sets = 4;
       }
     } else if (arg == "--max-correction-sets") {
-      const long long n = std::atoll(next_arg().c_str());
-      if (n < 1) {
-        std::cerr << "--max-correction-sets must be at least 1\n";
-        return usage();
-      }
       options.pipeline.localization.max_correction_sets =
-          static_cast<std::size_t>(n);
+          next_number(std::size_t{1});
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

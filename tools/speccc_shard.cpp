@@ -44,7 +44,7 @@
 //
 // Worker passthrough (forwarded verbatim): --cache, --cache-max,
 // --time-budget, --substrate, --crosscheck, --diagnose,
-// --max-correction-sets, --strict-next.
+// --max-correction-sets, --strict-next, --timeabs, --smt-encoder.
 //
 // Exit code (speccc_batch-compatible): 0 all consistent; 2 some spec
 // inconsistent; 3 errors, shard failures, budget exhaustion, cancellation,
@@ -53,11 +53,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "shard/coordinator.hpp"
 #include "util/diagnostics.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -75,7 +77,8 @@ int usage() {
          "                    [--time-budget S]\n"
          "                    [--substrate auto|NAME|race:a,b,...]\n"
          "                    [--crosscheck] [--diagnose]\n"
-         "                    [--max-correction-sets N] [--strict-next]\n";
+         "                    [--max-correction-sets N] [--strict-next]\n"
+         "                    [--timeabs enum|smt] [--smt-encoder mapped|tseitin]\n";
   return 1;
 }
 
@@ -99,27 +102,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
+    const auto next_number = [&]<typename T>(
+                                 T min, T max = std::numeric_limits<T>::max()) {
+      const std::string text = next_arg();
+      if (const auto value = util::parse_number(text, min, max)) return *value;
+      std::cerr << arg << ": bad value \"" << text << "\"\n";
+      std::exit(usage());
+    };
     if (arg == "--shards") {
-      const long long n = std::atoll(next_arg().c_str());
-      if (n < 1) {
-        std::cerr << "--shards must be at least 1\n";
-        return usage();
-      }
-      options.shards = static_cast<std::size_t>(n);
+      options.shards = next_number(std::size_t{1});
     } else if (arg == "--jobs-per-shard") {
-      options.jobs_per_shard = std::atoi(next_arg().c_str());
-      if (options.jobs_per_shard < 1) {
-        std::cerr << "--jobs-per-shard must be at least 1\n";
-        return usage();
-      }
+      options.jobs_per_shard = next_number(1);
     } else if (arg == "--retries") {
-      options.retries = std::atoi(next_arg().c_str());
-      if (options.retries < 0) {
-        std::cerr << "--retries must be non-negative\n";
-        return usage();
-      }
+      options.retries = next_number(0);
     } else if (arg == "--worker-timeout") {
-      options.worker_timeout_seconds = std::atof(next_arg().c_str());
+      options.worker_timeout_seconds = next_number(0.0);
     } else if (arg == "--worker") {
       options.worker_command = {next_arg()};
     } else if (arg == "--scratch") {
@@ -148,6 +146,7 @@ int main(int argc, char** argv) {
       options.worker_args.push_back(arg);
     } else if (arg == "--cache-max" || arg == "--time-budget" ||
                arg == "--substrate" || arg == "--max-correction-sets" ||
+               arg == "--timeabs" || arg == "--smt-encoder" ||
                arg == "--manifest" || arg == "--corpus" ||
                arg == "--generate" || arg == "--seed") {
       // Valued passthrough / input options: forward the pair verbatim.
