@@ -53,7 +53,7 @@ enum class TaskStatus {
   kConsistent,        // realizable (possibly after refinement)
   kInconsistent,      // definitively unrealizable
   kError,             // the pipeline threw (parse error, internal error, ...)
-  kBudgetExhausted,   // the per-task time budget ran out at a stage boundary
+  kBudgetExhausted,   // the per-task time budget ran out at a poll
   kCancelled,         // the batch-wide cancel flag was raised
 };
 
@@ -168,9 +168,8 @@ struct RunnerOptions {
                                              .cancelled = {}};
 };
 
-/// Per-run limits, polled cooperatively at pipeline stage boundaries.
-/// Now defined next to the substrate layer it carries the per-request
-/// override for (budget_seconds, cancel, substrate).
+/// Per-run limits (see core::RunLimits, defined next to the substrate
+/// layer it carries the per-request override for).
 using RunLimits = core::RunLimits;
 
 /// A warm per-worker execution engine: one core::Pipeline built once
@@ -207,9 +206,9 @@ struct BatchOptions {
   /// re-parsing unchanged sentences and re-deciding unchanged formulas.
   core::PipelineOptions pipeline;
   /// Per-task wall-clock budget in seconds; 0 means unlimited. Polled at
-  /// pipeline stage boundaries and inside the satisfiability screen's
-  /// tableau (see PipelineOptions::cancelled); other stages in flight
-  /// finish. Bound those with pipeline.synthesis.bounded caps.
+  /// pipeline stage boundaries and inside every engine after translation
+  /// -- synthesis, refinement, the satisfiability screen (see
+  /// PipelineOptions::cancelled); only stage 1 in flight finishes.
   double task_time_budget_seconds = 0.0;
   /// Batch-wide cancellation: raise to drain the queue. Running tasks stop
   /// at their next poll (see task_time_budget_seconds); queued tasks are

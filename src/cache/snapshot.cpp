@@ -103,6 +103,18 @@ class Reader {
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// An enum stored as u32, whose enumerators run 0..`last`. Any other
+  /// value is corruption: the cast would make an enumerator-less value.
+  template <typename E>
+  E enumerator(E last, const char* what) {
+    const std::uint32_t v = u32();
+    if (v > static_cast<std::uint32_t>(last)) {
+      throw SnapshotError(SnapshotErrorKind::kCorrupted, path_,
+                          std::string(what) + " value " + std::to_string(v) +
+                              " out of range");
+    }
+    return static_cast<E>(v);
+  }
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   std::string str() {
@@ -156,7 +168,7 @@ nlp::NounPhrase read_np(Reader& r) {
   np.words.resize(r.u64());
   for (nlp::NpWord& word : np.words) {
     word.text = r.str();
-    word.pos = static_cast<nlp::Pos>(r.u32());
+    word.pos = r.enumerator(nlp::Pos::kUnknown, "part of speech");
     word.capitalized = r.boolean();
   }
   np.pronoun = r.boolean();
@@ -191,7 +203,8 @@ nlp::Clause read_clause(Reader& r) {
   c.subjects.resize(r.u64());
   for (nlp::NounPhrase& np : c.subjects) np = read_np(r);
   c.subject_conjunction = r.str();
-  c.predicate.kind = static_cast<nlp::PredicateKind>(r.u32());
+  c.predicate.kind =
+      r.enumerator(nlp::PredicateKind::kPreposition, "predicate kind");
   c.predicate.verb_lemma = r.str();
   c.predicate.complements.resize(r.u64());
   for (std::string& s : c.predicate.complements) s = r.str();
@@ -308,8 +321,8 @@ void write_synthesis(Writer& w, const synth::SynthesisResult& v) {
 
 synth::SynthesisResult read_synthesis(Reader& r) {
   synth::SynthesisResult v;
-  v.verdict = static_cast<synth::Realizability>(r.u32());
-  v.engine_used = static_cast<synth::Engine>(r.u32());
+  v.verdict = r.enumerator(synth::Realizability::kUnknown, "verdict");
+  v.engine_used = r.enumerator(synth::Engine::kBounded, "engine");
   v.substrate_used = r.str();
   v.seconds = r.f64();
   v.state_bits = r.u64();

@@ -355,7 +355,7 @@ void fold_signature(util::DigestBuilder& builder,
 
 void fold_options(util::DigestBuilder& builder,
                   const synth::SynthesisOptions& options) {
-  builder.u64(static_cast<std::uint64_t>(options.engine));
+  builder.u64(0);  // removed engine selector's slot: keeps old keys valid
   builder.u64(static_cast<std::uint64_t>(options.bounded.max_k));
   builder.u64(options.bounded.extract ? 1 : 0);
   builder.u64(options.bounded.max_alphabet_bits);

@@ -15,7 +15,14 @@ Pipeline::Pipeline(PipelineOptions options)
       dictionary_(
           options_.dictionary.value_or(semantics::AntonymDictionary::builtin())),
       translator_(lexicon_, dictionary_, options_.translation,
-                  options_.cache.get()) {}
+                  options_.cache.get()) {
+  // Auto stage 2, refinement and the diag oracle all take
+  // options_.synthesis: its engines poll as a solo substrate does.
+  if (options_.cancelled) {
+    options_.synthesis.symbolic.cancelled = options_.cancelled;
+    options_.synthesis.bounded.cancelled = options_.cancelled;
+  }
+}
 
 PipelineResult Pipeline::run(
     const std::string& name,
@@ -93,20 +100,15 @@ PipelineResult Pipeline::run(
   signature.outputs.assign(result.partition.outputs.begin(),
                            result.partition.outputs.end());
 
-  // Effective substrate spec: the per-run override beats the configured
-  // spec; an auto spec with the deprecated engine enum set maps through the
-  // from_engine shim so old callers keep their engine choice.
-  SubstrateSpec effective =
+  // The per-run override beats the configured spec.
+  const SubstrateSpec& effective =
       substrate_override != nullptr ? *substrate_override : options_.substrate;
-  if (effective.is_auto() && options_.synthesis.engine != synth::Engine::kAuto) {
-    effective = SubstrateSpec::from_engine(options_.synthesis.engine);
-  }
 
-  // Stage-2 dispatch. Auto takes synth::synthesize exactly as before (and
-  // the pre-substrate cache key, so warmed stores stay valid); solo and
-  // race go through the registry. Any spec yields the same canonical
-  // verdict -- the substrates agree (core/substrate.hpp), and a race
-  // tie-breaks deterministically -- so only timings and diagnostics differ.
+  // Stage-2 dispatch. Auto takes synth::synthesize (and the pre-substrate
+  // cache key, so warmed stores stay valid); solo and race go through the
+  // registry. Any spec yields the same canonical verdict -- the substrates
+  // agree (core/substrate.hpp), and a race tie-breaks deterministically --
+  // so only timings and diagnostics differ.
   const auto check_realizability = [&]() -> synth::SynthesisResult {
     if (effective.is_auto()) {
       return synth::synthesize(formulas, signature, options_.synthesis);

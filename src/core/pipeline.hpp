@@ -36,13 +36,11 @@ struct PipelineOptions {
   /// byte-identical across encoders -- the abstraction is unique.
   timeabs::SmtEncoder smt_encoder = timeabs::SmtEncoder::kCutMap;
   synth::SynthesisOptions synthesis;
-  /// Stage-2 decision substrate(s): "auto" (symbolic when applicable, else
-  /// bounded -- exactly the old kAuto behavior), a solo substrate name, or
+  /// Stage-2 decision substrate(s): "auto" (synth::synthesize: symbolic
+  /// when applicable, else bounded), a solo substrate name, or
   /// "race:a,b,..." for first-verdict-wins portfolio racing
-  /// (core/substrate.hpp). When this is auto but synthesis.engine is the
-  /// deprecated kSymbolic/kBounded enum, the enum maps through
-  /// SubstrateSpec::from_engine. Canonical output is byte-identical for
-  /// every spec (the substrates agree; see core/portfolio.hpp).
+  /// (core/substrate.hpp). Canonical output is byte-identical for every
+  /// spec (the substrates agree; see core/portfolio.hpp).
   SubstrateSpec substrate;
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
@@ -63,13 +61,12 @@ struct PipelineOptions {
   /// file-based extension).
   std::optional<nlp::Lexicon> lexicon;
   std::optional<semantics::AntonymDictionary> dictionary;
-  /// Cooperative cancellation: polled at stage boundaries (before
-  /// translation, synthesis, refinement, and the satisfiability screen),
-  /// inside non-auto stage-2 substrates, and throughout the satisfiability
-  /// screen's tableau. When it returns true the run throws
-  /// util::CancelledError. Translation, auto synthesis, and refinement run
-  /// to completion once started -- use the synthesis caps (BoundedOptions)
-  /// to bound those. Null means never cancelled.
+  /// Cooperative cancellation: polled at stage boundaries and inside every
+  /// engine after stage 1 (stage 2 under any substrate spec, stage 3, the
+  /// satisfiability screen); the constructor copies a non-null predicate
+  /// into synthesis.{symbolic,bounded}.cancelled. When it returns true the
+  /// run throws util::CancelledError and caches nothing for the stage it
+  /// interrupted. Null means never cancelled.
   std::function<bool()> cancelled;
   /// Cross-spec memoization (cache/store.hpp); null disables caching.
   /// The store is thread-safe and content-addressed: share ONE store

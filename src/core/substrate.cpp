@@ -73,25 +73,9 @@ class BoundedSubstrate final : public Substrate {
       const synth::IoSignature& signature,
       const synth::SynthesisOptions& options,
       const CancelFn& cancelled) const override {
-    if (formulas.empty()) {
-      throw util::InvalidInputError(
-          "cannot synthesize from an empty specification");
-    }
-    util::Stopwatch timer;
     synth::BoundedOptions bounded = options.bounded;
     bounded.cancelled = cancelled;
-    const auto outcome =
-        synth::bounded_synthesize(ltl::land(formulas), signature, bounded);
-    synth::SynthesisResult result;
-    result.verdict = outcome.verdict;
-    result.engine_used = synth::Engine::kBounded;
-    result.substrate_used = "bounded";
-    result.ucw_states = outcome.ucw_states;
-    result.game_positions = outcome.game_positions;
-    result.iterations = outcome.k_used;
-    result.controller = outcome.controller;
-    result.seconds = timer.seconds();
-    return result;
+    return synth::run_bounded(formulas, signature, bounded);
   }
 };
 
@@ -108,31 +92,15 @@ class SymbolicSubstrate final : public Substrate {
       const synth::IoSignature& signature,
       const synth::SynthesisOptions& options,
       const CancelFn& cancelled) const override {
-    if (formulas.empty()) {
-      throw util::InvalidInputError(
-          "cannot synthesize from an empty specification");
-    }
-    util::Stopwatch timer;
     synth::SymbolicOptions symbolic = options.symbolic;
     symbolic.cancelled = cancelled;
-    const auto outcome =
-        synth::symbolic_synthesize(formulas, signature, symbolic);
-    if (!outcome.has_value()) {
+    auto result = synth::try_symbolic(formulas, signature, symbolic);
+    if (!result.has_value()) {
       throw util::InvalidInputError(
           "specification is outside the symbolic engine's pattern fragment "
           "or mentions propositions missing from the signature");
     }
-    synth::SynthesisResult result;
-    result.verdict = outcome->verdict;
-    result.engine_used = synth::Engine::kSymbolic;
-    result.substrate_used = "symbolic";
-    result.state_bits = outcome->state_bits;
-    result.peak_bdd_nodes = outcome->peak_bdd_nodes;
-    result.bdd_stats = outcome->bdd_stats;
-    result.iterations = outcome->fixpoint_iterations;
-    result.controller = outcome->controller;
-    result.seconds = timer.seconds();
-    return result;
+    return *std::move(result);
   }
 };
 
@@ -198,23 +166,6 @@ SubstrateSpec SubstrateSpec::parse(std::string_view text) {
   }
   spec.mode = Mode::kSolo;
   spec.substrates.emplace_back(text);
-  return spec;
-}
-
-SubstrateSpec SubstrateSpec::from_engine(synth::Engine engine) {
-  SubstrateSpec spec;
-  switch (engine) {
-    case synth::Engine::kAuto:
-      return spec;
-    case synth::Engine::kSymbolic:
-      spec.mode = Mode::kSolo;
-      spec.substrates = {"symbolic"};
-      return spec;
-    case synth::Engine::kBounded:
-      spec.mode = Mode::kSolo;
-      spec.substrates = {"bounded"};
-      return spec;
-  }
   return spec;
 }
 

@@ -13,10 +13,12 @@
 // A Substrate is stateless and const: one instance may be checked from
 // many racer threads concurrently (each check builds its own engines --
 // per-call bdd::Manager, per-call game arenas; the only shared mutable
-// state underneath is the mutex-protected formula intern arena).
+// state underneath is the mutex-protected formula intern arena). The
+// bounded and symbolic substrates are synth::run_bounded/try_symbolic with
+// the caller's CancelFn installed.
 //
-// SubstrateSpec is the one user-facing configuration knob, replacing the
-// scattered synth::Engine enum plumbing: a parseable string
+// SubstrateSpec is the one user-facing configuration knob: a parseable
+// string
 //   "auto"                        symbolic when applicable, else bounded
 //   "tableau" | "bounded" | "symbolic"   exactly one substrate
 //   "race:tableau,bounded,symbolic"      first-verdict-wins portfolio
@@ -44,8 +46,7 @@ namespace speccc::core {
 using CancelFn = std::function<bool()>;
 
 /// How the pipeline picks its decision substrate(s). Parse/to_string round
-/// trip; from_engine() is the deprecated shim mapping the old synth::Engine
-/// enum values so existing callers migrate in one sweep.
+/// trip.
 struct SubstrateSpec {
   enum class Mode { kAuto, kSolo, kRace };
 
@@ -60,10 +61,6 @@ struct SubstrateSpec {
   /// substrate, a duplicate racer, or a race with fewer than two entries.
   [[nodiscard]] static SubstrateSpec parse(std::string_view text);
 
-  /// Deprecated shim: the old engine enum as a spec (kAuto -> "auto",
-  /// kSymbolic -> "symbolic", kBounded -> "bounded").
-  [[nodiscard]] static SubstrateSpec from_engine(synth::Engine engine);
-
   /// Round trip of parse(): "auto", "<name>", or "race:a,b,...".
   [[nodiscard]] std::string to_string() const;
 
@@ -77,9 +74,9 @@ struct SubstrateSpec {
   }
 };
 
-/// Per-run limits, polled cooperatively at pipeline stage boundaries (and,
-/// through CancelFn plumbing, inside substrate engines). Shared by batch
-/// workers and the serve layer (batch::RunLimits is an alias).
+/// Per-run limits, polled cooperatively at pipeline stage boundaries and
+/// inside every stage-2/3 engine (see PipelineOptions::cancelled). Shared
+/// by batch workers and the serve layer (batch::RunLimits is an alias).
 struct RunLimits {
   /// Wall-clock budget in seconds for this run; 0 means unlimited. The
   /// serve layer derives it from the request deadline.

@@ -91,7 +91,8 @@ struct Diagnosis {
 /// Oracle over realizability: a subset is consistent iff the conjunction
 /// of its formulas is realizable under the (fixed) signature. kUnknown
 /// counts as inconsistent, matching refine's conservative reading. No real
-/// cores -- inconsistent queries are echoed back.
+/// cores -- inconsistent queries are echoed back. Each query polls
+/// options.{symbolic,bounded}.cancelled and lets util::CancelledError out.
 [[nodiscard]] CoreOracle synthesis_oracle(
     std::vector<ltl::Formula> requirements, synth::IoSignature signature,
     synth::SynthesisOptions options = {});

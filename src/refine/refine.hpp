@@ -76,7 +76,9 @@ struct RefinementOutcome {
 /// on the core/related propositions (paper V-B bullet 2). Candidates are
 /// ranked by how often they occur in the core and related requirements.
 /// When no flip helps and max_correction_sets > 0, the outcome's
-/// localization additionally carries the minimal correction sets.
+/// localization additionally carries the minimal correction sets. Every
+/// realizability check polls options.{symbolic,bounded}.cancelled; the
+/// resulting util::CancelledError propagates (nothing here catches it).
 [[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
                                        const partition::Partition& initial,
                                        const synth::SynthesisOptions& options = {},

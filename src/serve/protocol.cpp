@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/diagnostics.hpp"
 #include "util/json.hpp"
@@ -41,6 +42,19 @@ double optional_number(const json::Value& object, std::string_view key,
     fail("\"" + std::string(key) + "\" must be a number");
   }
   return v->as_number();
+}
+
+/// An optional `int` field; a fraction, a value outside int's range, or a
+/// non-number is a protocol error.
+int optional_int(const json::Value& object, std::string_view key) {
+  constexpr int min = std::numeric_limits<int>::min();
+  constexpr int max = std::numeric_limits<int>::max();
+  const double v = optional_number(object, key, 0.0);
+  if (!(v >= min && v <= max) || std::trunc(v) != v) {
+    fail("\"" + std::string(key) + "\" must be an integer in [" +
+         std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return static_cast<int>(v);
 }
 
 /// "requirements": an array of sentences, each either a plain string
@@ -120,10 +134,12 @@ ParsedRequest parse_request(std::string_view line) {
     if (parsed.id.empty()) parsed.id = request.spec.name;
     request.id = parsed.id;
     request.spec.requirements = parse_requirements(doc);
-    const double priority = optional_number(doc, "priority", 0.0);
-    request.priority = static_cast<int>(priority);
+    request.priority = optional_int(doc, "priority");
     const double deadline_ms = optional_number(doc, "deadline_ms", 0.0);
-    if (deadline_ms < 0.0) fail("\"deadline_ms\" must be >= 0");
+    if (!(deadline_ms >= 0.0 && deadline_ms <= kMaxDeadlineMs)) {
+      fail("\"deadline_ms\" must be in [0, " +
+           std::to_string(static_cast<long long>(kMaxDeadlineMs)) + "]");
+    }
     request.deadline_seconds = deadline_ms / 1000.0;
     // Optional per-request substrate override ("auto", a substrate name,
     // or "race:a,b,..."); an unparseable spec is a protocol error like any

@@ -9,8 +9,9 @@
 //              "requirements":["the door is open", ...]        // or
 //              "requirements":[{"id":"R1","text":"..."}, ...],
 //              "priority":0, "deadline_ms":500}
-//             id defaults to name; priority and deadline_ms are optional
-//             (deadline_ms 0 / absent = the server default).
+//             id defaults to name; priority (an int) and deadline_ms
+//             (at most serve::kMaxDeadlineMs; 0 / absent = the server
+//             default) are optional.
 //   ping      {"method":"ping","id":"p1"}           liveness probe
 //   stats     {"method":"stats","id":"s1"}          service + cache counters
 //   shutdown  {"method":"shutdown","id":"q1"}       drain and exit (as if

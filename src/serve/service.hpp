@@ -55,6 +55,12 @@
 
 namespace speccc::serve {
 
+/// The longest deadline accepted, in milliseconds (about 116 days): far
+/// inside what the steady clock's nanosecond count can add to "now". The
+/// wire protocol and the --default-deadline-ms flag reject anything
+/// longer.
+inline constexpr double kMaxDeadlineMs = 1e10;
+
 struct ServiceOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   int workers = 0;
@@ -62,7 +68,7 @@ struct ServiceOptions {
   /// running) requests are rejected with a retry hint. Must be >= 1.
   std::size_t queue_capacity = 256;
   /// Deadline applied to requests that do not carry their own; 0 means
-  /// unlimited.
+  /// unlimited. At most kMaxDeadlineMs / 1000.
   double default_deadline_seconds = 0.0;
   /// Per-worker pipeline configuration. `cancelled` is overwritten by the
   /// runner plumbing; `cache`, when set, is shared by every worker.
@@ -77,7 +83,8 @@ struct Request {
   /// Lower = served sooner; FIFO within a priority class.
   int priority = 0;
   /// Relative deadline in seconds, measured from admission (queue time
-  /// counts). <= 0 means "use the service default".
+  /// counts). <= 0 means "use the service default". At most
+  /// kMaxDeadlineMs / 1000.
   double deadline_seconds = 0.0;
   /// Per-request substrate override (the wire protocol's optional
   /// "substrate" field): replaces the service pipeline's configured spec

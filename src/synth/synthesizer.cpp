@@ -6,11 +6,20 @@ namespace speccc::synth {
 
 namespace {
 
+void require_nonempty(const std::vector<ltl::Formula>& requirements) {
+  if (requirements.empty()) {
+    throw util::InvalidInputError("cannot synthesize from an empty specification");
+  }
+}
+
+}  // namespace
+
 std::optional<SynthesisResult> try_symbolic(
     const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
-    const SynthesisOptions& options) {
+    const SymbolicOptions& options) {
+  require_nonempty(requirements);
   util::Stopwatch timer;
-  const auto outcome = symbolic_synthesize(requirements, signature, options.symbolic);
+  const auto outcome = symbolic_synthesize(requirements, signature, options);
   if (!outcome.has_value()) return std::nullopt;
   SynthesisResult result;
   result.verdict = outcome->verdict;
@@ -27,10 +36,11 @@ std::optional<SynthesisResult> try_symbolic(
 
 SynthesisResult run_bounded(const std::vector<ltl::Formula>& requirements,
                             const IoSignature& signature,
-                            const SynthesisOptions& options) {
+                            const BoundedOptions& options) {
+  require_nonempty(requirements);
   util::Stopwatch timer;
-  const ltl::Formula spec = ltl::land(requirements);
-  const auto outcome = bounded_synthesize(spec, signature, options.bounded);
+  const auto outcome =
+      bounded_synthesize(ltl::land(requirements), signature, options);
   SynthesisResult result;
   result.verdict = outcome.verdict;
   result.engine_used = Engine::kBounded;
@@ -43,33 +53,13 @@ SynthesisResult run_bounded(const std::vector<ltl::Formula>& requirements,
   return result;
 }
 
-}  // namespace
-
 SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                            const IoSignature& signature,
                            const SynthesisOptions& options) {
-  if (requirements.empty()) {
-    throw util::InvalidInputError("cannot synthesize from an empty specification");
-  }
-  switch (options.engine) {
-    case Engine::kSymbolic: {
-      auto result = try_symbolic(requirements, signature, options);
-      if (!result.has_value()) {
-        throw util::InvalidInputError(
-            "specification is outside the symbolic engine's pattern fragment "
-            "or mentions propositions missing from the signature");
-      }
-      return *result;
-    }
-    case Engine::kBounded:
-      return run_bounded(requirements, signature, options);
-    case Engine::kAuto:
-      break;
-  }
-  if (auto result = try_symbolic(requirements, signature, options)) {
+  if (auto result = try_symbolic(requirements, signature, options.symbolic)) {
     return *result;
   }
-  return run_bounded(requirements, signature, options);
+  return run_bounded(requirements, signature, options.bounded);
 }
 
 }  // namespace speccc::synth

@@ -4,8 +4,11 @@
 // realizability -- the paper's notion of specification consistency -- and
 // optionally extracts a Mealy controller witnessing it.
 //
-// Engine selection: when every requirement lies in the monitorable pattern
-// fragment (everything the Section IV translator emits), the symbolic
+// try_symbolic and run_bounded are the only code that turns an engine
+// outcome into a SynthesisResult; the solo substrates (core/substrate.hpp)
+// call them, and synthesize() -- the "auto" substrate -- composes them:
+// when every requirement lies in the monitorable pattern fragment
+// (everything the Section IV translator emits), the symbolic
 // monitor-composition engine decides the game exactly at Table I scale;
 // otherwise the explicit bounded-synthesis engine handles full LTL on small
 // signatures.
@@ -22,10 +25,11 @@
 
 namespace speccc::synth {
 
+/// Which engine produced a SynthesisResult (a result tag; kAuto marks a
+/// verdict from neither synthesis engine, e.g. the tableau substrate).
 enum class Engine { kAuto, kSymbolic, kBounded };
 
 struct SynthesisOptions {
-  Engine engine = Engine::kAuto;
   BoundedOptions bounded;
   SymbolicOptions symbolic;
 };
@@ -33,9 +37,9 @@ struct SynthesisOptions {
 struct SynthesisResult {
   Realizability verdict = Realizability::kUnknown;
   Engine engine_used = Engine::kAuto;
-  /// Name of the core::Substrate that produced the verdict ("tableau",
-  /// "bounded", "symbolic"); set by the substrate layer and by
-  /// synthesize(). Non-canonical diagnostic.
+  /// Name of the substrate that produced the verdict ("tableau",
+  /// "bounded", "symbolic"); set by every result builder. Non-canonical
+  /// diagnostic.
   std::string substrate_used;
   /// Wall-clock seconds of the realizability check (Table I's time column).
   double seconds = 0.0;
@@ -53,7 +57,22 @@ struct SynthesisResult {
   }
 };
 
-/// Decide realizability of the conjunction of `requirements`.
+/// The symbolic engine on the conjunction of `requirements`; nullopt when
+/// some requirement is outside its pattern fragment or mentions a
+/// proposition missing from the signature. Throws util::InvalidInputError
+/// on an empty specification.
+[[nodiscard]] std::optional<SynthesisResult> try_symbolic(
+    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
+    const SymbolicOptions& options);
+
+/// The bounded engine on the conjunction of `requirements`. Throws
+/// util::InvalidInputError on an empty specification.
+[[nodiscard]] SynthesisResult run_bounded(
+    const std::vector<ltl::Formula>& requirements, const IoSignature& signature,
+    const BoundedOptions& options);
+
+/// Decide realizability of the conjunction of `requirements`: symbolic when
+/// it applies, else bounded.
 [[nodiscard]] SynthesisResult synthesize(const std::vector<ltl::Formula>& requirements,
                                          const IoSignature& signature,
                                          const SynthesisOptions& options = {});

@@ -21,6 +21,7 @@
 #include "ltl/formula.hpp"
 #include "ltl/parser.hpp"
 #include "nlp/lexicon.hpp"
+#include "nlp/syntax.hpp"
 #include "semantics/antonyms.hpp"
 #include "translate/translator.hpp"
 #include "util/digest.hpp"
@@ -181,13 +182,25 @@ TEST(CacheKeys, SynthesisKeyCoversFormulasSignatureAndOptions) {
   speccc::synth::IoSignature flipped{{"b"}, {"a"}};
   EXPECT_NE(base, cache::synthesis_key(formulas, flipped, options));
 
-  speccc::synth::SynthesisOptions bounded = options;
-  bounded.engine = speccc::synth::Engine::kBounded;
-  EXPECT_NE(base, cache::synthesis_key(formulas, signature, bounded));
+  speccc::synth::SynthesisOptions deeper = options;
+  deeper.bounded.max_k = options.bounded.max_k + 1;
+  EXPECT_NE(base, cache::synthesis_key(formulas, signature, deeper));
 
   // Refinement and synthesis artifacts never share keys even for equal
   // inputs (separate domains).
   EXPECT_NE(base, cache::refinement_key(formulas, signature, options));
+}
+
+TEST(CacheKeys, SynthesisAndRefinementKeysArePinned) {
+  // Key-drift guard: these keys address store and snapshot entries, so the
+  // bytes folded for fixed inputs under default options must never move
+  // (a moved key silently turns every warm snapshot cold).
+  const std::vector<ltl::Formula> formulas{ltl::parse("G (a -> b)")};
+  const speccc::synth::IoSignature signature{{"a"}, {"b"}};
+  EXPECT_EQ(cache::synthesis_key(formulas, signature, {}).hex(),
+            "95528686857a6e740687377792287877");
+  EXPECT_EQ(cache::refinement_key(formulas, signature, {}).hex(),
+            "f89a38137136f61a09e94e45b9e79cc7");
 }
 
 // ---- cache::Store -----------------------------------------------------------
@@ -561,6 +574,56 @@ TEST(Snapshot, RejectsCorruptedBody) {
     EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos);
   }
   EXPECT_EQ(target.size(), 1u);  // rejection left the store untouched
+}
+
+TEST(Snapshot, RejectsOutOfRangeEnumValues) {
+  // Each stored enum is range-checked on load: a value no enumerator has
+  // is corruption, rejected before the store is touched.
+  const auto rejects = [](const char* name, const cache::Store& store) {
+    const std::string path = snapshot_path(name);
+    cache::save_snapshot(store, path, kStampA);
+    cache::Store target;
+    target.put_satisfiable(Digest{9, 9}, true);  // pre-existing entry
+    try {
+      cache::load_snapshot(target, path, kStampA);
+      ADD_FAILURE() << name << ": out-of-range enum was accepted";
+    } catch (const cache::SnapshotError& e) {
+      EXPECT_EQ(e.kind(), cache::SnapshotErrorKind::kCorrupted) << name;
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(target.size(), 1u) << name;  // store untouched
+  };
+
+  speccc::synth::SynthesisResult bad_verdict;
+  bad_verdict.verdict = static_cast<speccc::synth::Realizability>(7);
+  cache::Store verdict_store;
+  verdict_store.put_synthesis(Digest{1, 1}, bad_verdict);
+  rejects("enum-verdict.snap", verdict_store);
+
+  speccc::synth::SynthesisResult bad_engine;
+  bad_engine.engine_used = static_cast<speccc::synth::Engine>(3);
+  cache::Store engine_store;
+  engine_store.put_synthesis(Digest{1, 1}, bad_engine);
+  rejects("enum-engine.snap", engine_store);
+
+  nlp::Clause clause;
+  clause.subjects.push_back(nlp::NounPhrase{});
+  clause.subjects[0].words.push_back(
+      {"door", static_cast<nlp::Pos>(static_cast<int>(nlp::Pos::kUnknown) + 1)});
+  nlp::Sentence bad_pos;
+  bad_pos.main.clauses.emplace_back("", clause);
+  cache::Store pos_store;
+  pos_store.put_sentence(Digest{1, 1}, bad_pos);
+  rejects("enum-pos.snap", pos_store);
+
+  nlp::Sentence bad_kind;
+  bad_kind.main.clauses.emplace_back("", nlp::Clause{});
+  bad_kind.main.clauses[0].second.predicate.kind =
+      static_cast<nlp::PredicateKind>(5);
+  cache::Store kind_store;
+  kind_store.put_sentence(Digest{1, 1}, bad_kind);
+  rejects("enum-kind.snap", kind_store);
 }
 
 TEST(Snapshot, RejectsWrongFormatVersion) {

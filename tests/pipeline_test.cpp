@@ -2,8 +2,13 @@
 // case-study corpora, reproducing the paper's Table I verdicts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "batch/corpus_tasks.hpp"
 #include "cache/store.hpp"
 #include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
@@ -13,6 +18,7 @@
 #include "core/report.hpp"
 #include "ltl/formula.hpp"
 #include "synth/verify.hpp"
+#include "util/diagnostics.hpp"
 
 namespace core = speccc::core;
 namespace corpus = speccc::corpus;
@@ -276,6 +282,82 @@ TEST(PipelineRobot, ExtractedControllerIsExhaustivelyCorrect) {
         speccc::synth::verify(*result.synthesis.controller, req.formula);
     EXPECT_TRUE(check.holds) << req.id << ": " << req.text;
   }
+}
+
+// ---- Cancellation ---------------------------------------------------------
+//
+// One cancel wiring: the pipeline's predicate is polled inside the engines
+// of stage 2 under every substrate spec and inside stage 3, not only at
+// stage boundaries.
+
+/// A cancel predicate that counts its polls and fires from poll `fire_at`
+/// on (fire_at 0 never fires).
+struct CountingCancel {
+  std::shared_ptr<std::atomic<int>> polls = std::make_shared<std::atomic<int>>(0);
+
+  [[nodiscard]] std::function<bool()> predicate(int fire_at) const {
+    return [polls = polls, fire_at] {
+      return ++*polls >= fire_at && fire_at > 0;
+    };
+  }
+};
+
+std::string cancelled_message(const core::PipelineOptions& options,
+                              const std::string& name,
+                              const std::vector<translate::RequirementText>& spec) {
+  try {
+    (void)core::Pipeline(options).run(name, spec);
+  } catch (const speccc::util::CancelledError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(PipelineCancellation, EveryTableIRowStopsInsideStageTwo) {
+  // Polls 1 and 2 are the translation and synthesis boundaries; poll 3 is
+  // the first one inside the stage-2 engine, under auto exactly as under a
+  // solo substrate.
+  for (const char* spec : {"auto", "symbolic"}) {
+    for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+      core::PipelineOptions options;
+      options.substrate = core::SubstrateSpec::parse(spec);
+      options.cancelled = CountingCancel{}.predicate(3);
+      const std::string what =
+          cancelled_message(options, task.name, task.requirements);
+      EXPECT_FALSE(what.empty()) << spec << " " << task.name << " ran on";
+      EXPECT_EQ(what.find("cancelled before"), std::string::npos)
+          << spec << " " << task.name << ": " << what;
+    }
+  }
+}
+
+TEST(PipelineCancellation, RefinementStopsInsideItsRealizabilityChecks) {
+  const std::vector<translate::RequirementText> spec = {
+      {"L1", "If the door is open, the alarm is raised."},
+      {"L2", "If the door is open, the alarm is not raised."},
+  };
+  // Count the polls through stage 2, with stage 3 and the screen off ...
+  core::PipelineOptions options;
+  options.refine_on_failure = false;
+  options.satisfiability_check = false;
+  CountingCancel counter;
+  options.cancelled = counter.predicate(0);
+  ASSERT_FALSE(core::Pipeline(options).run("door", spec).consistent);
+  const int stage2_polls = counter.polls->load();
+
+  // ... then, with stage 3 on, poll stage2_polls + 1 is the refinement
+  // boundary: fire from the next one, which only a poll inside refine can
+  // see. Nothing is cached for the interrupted stage.
+  options.refine_on_failure = true;
+  options.cache = std::make_shared<speccc::cache::Store>();
+  options.cancelled = CountingCancel{}.predicate(stage2_polls + 2);
+  const std::string what = cancelled_message(options, "door", spec);
+  ASSERT_FALSE(what.empty()) << "refinement ran to completion";
+  EXPECT_EQ(what.find("cancelled before"), std::string::npos) << what;
+  std::size_t refinements = 0;
+  options.cache->for_each_refinement(
+      [&](const auto&, const auto&) { ++refinements; });
+  EXPECT_EQ(refinements, 0u);
 }
 
 }  // namespace

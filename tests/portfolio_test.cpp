@@ -70,14 +70,6 @@ TEST(SubstrateSpec, RejectsMalformedSpecs) {
                util::InvalidInputError);
 }
 
-TEST(SubstrateSpec, FromEngineShimMapsTheOldEnum) {
-  EXPECT_TRUE(SubstrateSpec::from_engine(synth::Engine::kAuto).is_auto());
-  EXPECT_EQ(SubstrateSpec::from_engine(synth::Engine::kSymbolic).to_string(),
-            "symbolic");
-  EXPECT_EQ(SubstrateSpec::from_engine(synth::Engine::kBounded).to_string(),
-            "bounded");
-}
-
 // ---------------------------------------------------------------------------
 // Registry and the builtin substrates
 

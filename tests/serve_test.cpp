@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "batch/batch.hpp"
 #include "cache/store.hpp"
@@ -110,6 +114,49 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
       serve::parse_request(
           R"({"method":"check","deadline_ms":-5,"requirements":["x is set"]})"),
       ParseError);
+}
+
+TEST(ServeProtocol, RejectsNumbersOutsideTheirFieldsRange) {
+  // An out-of-range number must be refused before any float-to-integer
+  // conversion (undefined behaviour past the target's range).
+  const auto error_of = [](const std::string& fields) -> std::string {
+    try {
+      (void)serve::parse_request(R"({"method":"check",)" + fields +
+                                 R"(,"requirements":["x is set"]})");
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const char* priority : {"1e300", "-3e9", "2147483648", "1.5"}) {
+    const std::string what = error_of(std::string(R"("priority":)") + priority);
+    EXPECT_EQ(what.rfind("protocol: \"priority\" must be an integer", 0), 0u)
+        << priority << ": " << what;
+  }
+  for (const char* deadline : {"1e20", "10000000001"}) {
+    const std::string what =
+        error_of(std::string(R"("deadline_ms":)") + deadline);
+    EXPECT_EQ(what.rfind("protocol: \"deadline_ms\" must be in [0, ", 0), 0u)
+        << deadline << ": " << what;
+  }
+
+  // The bounds themselves are accepted.
+  const serve::ParsedRequest edge = serve::parse_request(
+      R"({"method":"check","priority":-2147483648,"deadline_ms":1e10,)"
+      R"("requirements":["x is set"]})");
+  EXPECT_EQ(edge.request.priority, std::numeric_limits<int>::min());
+  EXPECT_DOUBLE_EQ(edge.request.deadline_seconds, serve::kMaxDeadlineMs / 1000);
+}
+
+TEST(ServeCli, DefaultDeadlineBeyondTheBoundIsAUsageError) {
+  // Parsed before the listener starts; `timeout` bounds a regression that
+  // would accept the flag and serve forever.
+  const std::string command = std::string("timeout 20 \"") + SPECCC_SERVE_BIN +
+                              "\" --port 0 --quiet --default-deadline-ms "
+                              "1e20 2>/dev/null";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
 TEST(ServeProtocol, RendersResultWithEmbeddedCanonicalLine) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/substrate.hpp"
 #include "ltl/parser.hpp"
 #include "ltl/trace.hpp"
 #include "synth/bounded.hpp"
@@ -275,10 +276,11 @@ TEST(Synthesizer, EmptySpecThrows) {
 }
 
 TEST(Synthesizer, ForcedSymbolicOnNonFragmentThrows) {
-  synth::SynthesisOptions opts;
-  opts.engine = synth::Engine::kSymbolic;
-  EXPECT_THROW((void)synth::synthesize(parse_all({"G F a -> G F x"}),
-                                       {{"a"}, {"x"}}, opts),
+  const auto* symbolic =
+      speccc::core::SubstrateRegistry::global().find("symbolic");
+  ASSERT_NE(symbolic, nullptr);
+  EXPECT_THROW((void)symbolic->check(parse_all({"G F a -> G F x"}),
+                                     {{"a"}, {"x"}}, {}, nullptr),
                speccc::util::InvalidInputError);
 }
 

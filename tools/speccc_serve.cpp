@@ -24,7 +24,7 @@
 //   --queue-max N         admission queue bound (default 256); submissions
 //                         beyond it are rejected with retry_after_ms
 //   --default-deadline-ms N   deadline for requests that carry none
-//                         (default 0 = unlimited)
+//                         (default 0 = unlimited; at most 1e10)
 //   --no-cache            run without the shared memoization store
 //   --cache-max N         store entry cap per artifact kind (default 65536)
 //   --eviction fifo|lru   store eviction policy (default lru; batch's FIFO
@@ -219,7 +219,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-max") {
       options.queue_capacity = next_number(std::size_t{1});
     } else if (arg == "--default-deadline-ms") {
-      options.default_deadline_seconds = next_number(0.0) / 1000.0;
+      options.default_deadline_seconds =
+          next_number(0.0, serve::kMaxDeadlineMs) / 1000.0;
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--cache-max") {
