@@ -115,6 +115,17 @@ class Reader {
     }
     return static_cast<E>(v);
   }
+  /// A stored deadline; one past the grammar's limit is corruption.
+  nlp::TimeConstraint time_constraint() {
+    const nlp::TimeConstraint tc{u32(), u32()};  // braced: read in order
+    if (!nlp::within_deadline_cap(tc.value, tc.unit_seconds)) {
+      throw SnapshotError(SnapshotErrorKind::kCorrupted, path_,
+                          "time constraint \"in " + std::to_string(tc.value) +
+                              " x" + std::to_string(tc.unit_seconds) +
+                              "s\" out of range");
+    }
+    return tc;
+  }
   double f64() { return std::bit_cast<double>(u64()); }
   bool boolean() { return u8() != 0; }
   std::string str() {
@@ -216,12 +227,7 @@ nlp::Clause read_clause(Reader& r) {
   for (std::string& s : c.predicate.modals) s = r.str();
   c.predicate.negated = r.boolean();
   c.predicate.future = r.boolean();
-  if (r.boolean()) {
-    nlp::TimeConstraint tc;
-    tc.value = r.u32();
-    tc.unit_seconds = r.u32();
-    c.constraint = tc;
-  }
+  if (r.boolean()) c.constraint = r.time_constraint();
   c.next_marked = r.boolean();
   return c;
 }

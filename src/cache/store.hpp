@@ -5,10 +5,10 @@
 //   Level 1 (per sentence): the structured-English parse
 //     (nlp::parse_sentence output), keyed by the whitespace-normalized
 //     sentence text plus the lexicon fingerprint. Requirements documents
-//     under revision share most of their sentences across revisions — and
-//     the pipeline itself parses every sentence twice when time
-//     abstraction re-translates — so this level hits even within a single
-//     run.
+//     under revision share most of their sentences across revisions, so
+//     this level hits across runs and across the specs of a batch. Within
+//     one run each sentence is looked up once (translate::Translator::
+//     analyze parses a spec once; time abstraction does not re-parse).
 //
 //   Level 2 (per formula / per spec): decision artifacts keyed by
 //     ltl::canonical_digest — per-requirement tableau satisfiability, the

@@ -1,7 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <map>
-
 #include "automata/emptiness.hpp"
 #include "ltl/rewrite.hpp"
 
@@ -43,13 +41,14 @@ PipelineResult Pipeline::run(
   // ---- Stage 1: translation ---------------------------------------------------
   poll_cancel("translation");
   util::Stopwatch stage1;
-  result.translation = translator_.translate(requirements);
+  translate::Analysis analysis = translator_.analyze(requirements);
 
-  // Time abstraction: harvest Theta, optimize, re-translate with the mapper.
-  const auto thetas = result.translation.thetas();
-  if (options_.time_abstraction && !thetas.empty()) {
+  // Time abstraction: Theta is known from the parse, so the formulas are
+  // built once, with the reduced tick counts.
+  translate::TickMapper mapper;
+  if (options_.time_abstraction && !analysis.thetas.empty()) {
     timeabs::Request request;
-    request.thetas = thetas;
+    request.thetas = analysis.thetas;
     request.error_budget = options_.error_budget;
     std::optional<timeabs::Abstraction> abstraction;
     // The cache key folds the encoder only for the SMT backend (as an
@@ -76,17 +75,11 @@ PipelineResult Pipeline::run(
     }
     speccc_check(abstraction.has_value(), "abstraction always has d=1 fallback");
     result.abstraction = abstraction;
-
-    std::map<unsigned, unsigned> remap;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-      remap[thetas[i]] = abstraction->reduced[i];
-    }
-    const translate::TickMapper mapper = [remap](unsigned ticks) -> unsigned {
-      const auto it = remap.find(ticks);
-      return it == remap.end() ? ticks : it->second;
-    };
-    result.translation = translator_.translate(requirements, mapper);
+    mapper = translate::remap_ticks(std::move(request.thetas),
+                                    abstraction->reduced);
   }
+  result.translation =
+      translator_.emit(std::move(analysis), requirements, mapper);
 
   const std::vector<ltl::Formula> formulas = result.translation.formulas();
   result.partition = partition::unify(formulas, options_.partition_overrides);

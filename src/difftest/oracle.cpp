@@ -1,7 +1,6 @@
 #include "difftest/oracle.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "automata/emptiness.hpp"
 #include "automata/gpvw.hpp"
@@ -95,30 +94,25 @@ SpecCase build_spec_case(
   const auto dictionary = semantics::AntonymDictionary::builtin();
   const translate::Translator translator(lexicon, dictionary);
 
-  auto translation = translator.translate(texts);
-  const auto thetas = translation.thetas();
-  if (!thetas.empty()) {
+  translate::Analysis analysis = translator.analyze(texts);
+  translate::TickMapper mapper;
+  if (!analysis.thetas.empty()) {
     timeabs::Request request;
-    request.thetas = thetas;
+    request.thetas = analysis.thetas;
     request.error_budget = 5;
     const timeabs::Abstraction abstraction = timeabs::optimize_exact(request);
-    std::map<unsigned, unsigned> remap;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-      remap[thetas[i]] = abstraction.reduced[i];
-    }
     // Both the GPVW tableau and the counter game are exponential in the
     // Next-chain length, so deadlines are additionally clamped to a few
     // ticks. The clamp is part of case *generation* -- every substrate sees
     // the same clamped formulas -- so the cross-check stays meaningful
     // while the worst case stays time-bounded.
     static constexpr unsigned kMaxChain = 4;
-    const translate::TickMapper mapper = [remap](unsigned ticks) -> unsigned {
-      const auto it = remap.find(ticks);
-      const unsigned reduced = it == remap.end() ? ticks : it->second;
-      return std::min(reduced, kMaxChain);
-    };
-    translation = translator.translate(texts, mapper);
+    mapper = [remap = translate::remap_ticks(std::move(request.thetas),
+                                             abstraction.reduced)](
+                 unsigned ticks) { return std::min(remap(ticks), kMaxChain); };
   }
+  const translate::TranslationResult translation =
+      translator.emit(std::move(analysis), texts, mapper);
 
   SpecCase result;
   result.requirements = translation.formulas();

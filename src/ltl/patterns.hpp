@@ -1,10 +1,11 @@
 // Property-pattern templates (Dwyer et al. [6], Salamah et al. [19]).
 //
-// The paper's translator instantiates the Universality and Existence
-// patterns plus the implication/response shapes that the structured-English
-// subordinators induce. These templates are also what the symbolic synthesis
-// engine recognizes when compiling a specification into deterministic
-// monitors, so they are shared here.
+// The paper's translator (translate/translator.hpp) produces the
+// Universality and Existence patterns plus the implication/response shapes
+// that the structured-English subordinators induce; it builds them inline.
+// The constructors below spell those shapes out, and the symbolic synthesis
+// engine recognizes them when compiling a specification into deterministic
+// monitors.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +15,7 @@
 
 namespace speccc::ltl {
 
-// ---- Template constructors (used by the translator) ------------------------
+// ---- Template constructors -------------------------------------------------
 
 /// Universality, global scope: G p.
 [[nodiscard]] Formula universality(Formula p);

@@ -38,12 +38,6 @@ void clause_dependencies(const Clause& clause, std::vector<Dependency>& out) {
   if (!clause.modifier.empty()) out.push_back({"advmod", verb, clause.modifier});
 }
 
-void group_dependencies(const ClauseGroup& group, std::vector<Dependency>& out) {
-  for (const auto& [conn, clause] : group.clauses) {
-    clause_dependencies(clause, out);
-  }
-}
-
 void clause_subject_dependents(
     const Clause& clause, std::map<std::string, std::set<std::string>>& out) {
   for (const NounPhrase& np : clause.subjects) {
@@ -73,23 +67,16 @@ void clause_subject_dependents(
 
 std::vector<Dependency> dependencies(const Sentence& sentence) {
   std::vector<Dependency> out;
-  for (const auto& group : sentence.conditions) group_dependencies(group, out);
-  group_dependencies(sentence.main, out);
-  if (sentence.until.has_value()) group_dependencies(*sentence.until, out);
+  sentence.for_each_clause(
+      [&out](const Clause& clause) { clause_dependencies(clause, out); });
   return out;
 }
 
 std::map<std::string, std::set<std::string>> subject_dependents(
     const Sentence& sentence) {
   std::map<std::string, std::set<std::string>> out;
-  const auto visit_group = [&out](const ClauseGroup& group) {
-    for (const auto& [conn, clause] : group.clauses) {
-      clause_subject_dependents(clause, out);
-    }
-  };
-  for (const auto& group : sentence.conditions) visit_group(group);
-  visit_group(sentence.main);
-  if (sentence.until.has_value()) visit_group(*sentence.until);
+  sentence.for_each_clause(
+      [&out](const Clause& clause) { clause_subject_dependents(clause, out); });
   return out;
 }
 

@@ -258,9 +258,10 @@ class ClauseParser {
     if (peek(Pos::kPreposition) && peek_text() == "in" &&
         pos_ + 1 < tokens_.size() && tokens_[pos_ + 1].pos == Pos::kNumber) {
       ++pos_;
-      TimeConstraint c;
-      c.value = static_cast<unsigned>(std::stoul(tokens_[pos_].text));
+      const std::string& digits = tokens_[pos_].text;
+      std::string written = "in " + digits;
       ++pos_;
+      TimeConstraint c;
       if (peek(Pos::kTimeUnit)) {
         // Unit multiplier resolved against the lexicon by the caller; we
         // inline the standard units here to keep the parser self-contained.
@@ -268,8 +269,21 @@ class ClauseParser {
         if (u == "minute" || u == "minutes") c.unit_seconds = 60;
         else if (u == "hour" || u == "hours") c.unit_seconds = 3600;
         else c.unit_seconds = 1;
+        written += " " + u;
         ++pos_;
       }
+      // Digit by digit, stopping at the cap, so no literal can overflow.
+      std::uint64_t value = 0;
+      for (const char digit : digits) {
+        value = value * 10 + static_cast<std::uint64_t>(digit - '0');
+        if (!within_deadline_cap(value, c.unit_seconds)) {
+          throw util::ParseError(
+              "time constraint \"" + written + "\" exceeds the limit of " +
+              std::to_string(kMaxConstraintSeconds) + " seconds in \"" +
+              text_ + "\"");
+        }
+      }
+      c.value = static_cast<unsigned>(value);
       clause.constraint = c;
     }
   }

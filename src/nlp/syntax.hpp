@@ -21,6 +21,7 @@
 //     modifiers subject to semantic reasoning ("a valid blood pressure").
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -43,6 +44,18 @@ struct NounPhrase {
 
   [[nodiscard]] std::string joined() const;  // "auto_control_mode"
 };
+
+/// The longest deadline the grammar accepts, in seconds (about 12 days).
+/// Longer constraints are a ParseError: the time abstraction's divisor scan
+/// is linear in the longest tick count, about 0.15 s at this cap.
+inline constexpr unsigned kMaxConstraintSeconds = 1u << 20;
+
+/// Whether `value` units of `unit_seconds` each fit kMaxConstraintSeconds
+/// (exact for any value and unit below 2^32).
+[[nodiscard]] constexpr bool within_deadline_cap(std::uint64_t value,
+                                                 unsigned unit_seconds) {
+  return value * unit_seconds <= kMaxConstraintSeconds;
+}
 
 struct TimeConstraint {
   unsigned value = 0;          // as written ("in 3 seconds" -> 3)
@@ -93,6 +106,17 @@ struct Sentence {
   std::vector<ClauseGroup> conditions;  // if/when/whenever/once/while/after
   ClauseGroup main;
   std::optional<ClauseGroup> until;  // trailing until-subclause
+
+  /// Visit every clause: the conditions, then main, then until.
+  template <typename Fn>
+  void for_each_clause(Fn&& fn) const {
+    const auto group = [&fn](const ClauseGroup& g) {
+      for (const auto& [conn, clause] : g.clauses) fn(clause);
+    };
+    for (const ClauseGroup& g : conditions) group(g);
+    group(main);
+    if (until.has_value()) group(*until);
+  }
 };
 
 /// Parse one requirement sentence. Throws util::ParseError when the sentence

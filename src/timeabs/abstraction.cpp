@@ -44,8 +44,10 @@ Option early_option(std::uint32_t theta, std::uint32_t d) {
 /// theta; only valid when delta < d (always true unless theta % d == 0, in
 /// which case it degenerates to the exact decomposition).
 Option late_option(std::uint32_t theta, std::uint32_t d) {
-  const std::uint32_t q = (theta + d - 1) / d;
-  return {q, q * d - theta, false};
+  // In 64 bits: theta + d - 1 wraps 32 bits for theta near UINT32_MAX.
+  const std::uint64_t q = (std::uint64_t{theta} + d - 1) / d;
+  return {static_cast<std::uint32_t>(q),
+          static_cast<std::uint32_t>(q * d - theta), false};
 }
 
 }  // namespace
@@ -171,9 +173,12 @@ std::optional<Abstraction> optimize_enumeration(const Request& request) {
   std::optional<Abstraction> best;
   // d beyond max_theta only increases errors (every theta collapses to
   // theta'=0 already at d = max_theta+1 if the budget allows; larger d
-  // changes nothing), so the scan is bounded by max_theta + 1.
-  for (std::uint32_t d = 1; d <= max_theta + 1; ++d) {
-    auto candidate = solve_for_divisor(request, d);
+  // changes nothing), so the scan is bounded by max_theta + 1, in 64 bits
+  // so it cannot wrap; a divisor must still fit Abstraction::divisor.
+  const std::uint64_t last = std::min<std::uint64_t>(
+      std::uint64_t{max_theta} + 1, std::numeric_limits<std::uint32_t>::max());
+  for (std::uint64_t d = 1; d <= last; ++d) {
+    auto candidate = solve_for_divisor(request, static_cast<std::uint32_t>(d));
     if (!candidate) continue;
     const bool better =
         !best || candidate->reduced_sum < best->reduced_sum ||

@@ -19,10 +19,28 @@ using nlp::PredicateKind;
 using semantics::PropositionReducer;
 using semantics::Reduction;
 
-/// Builds the proposition (possibly negated) for one subject of a clause.
-struct Literal {
-  Formula formula;
-};
+/// A noun phrase's name: its words joined by "_", minus the adjectives
+/// semantic reasoning folds away; each negating fold flips `*negated`.
+std::string np_name(const NounPhrase& np, const PropositionReducer* reducer,
+                    bool* negated) {
+  std::vector<std::string> words;
+  for (const nlp::NpWord& w : np.words) {
+    if (w.pos == nlp::Pos::kAdjective && !w.capitalized && reducer != nullptr) {
+      const Reduction r = reducer->decide("", w.text);
+      if (r.fold) {
+        if (r.negate && negated != nullptr) *negated = !*negated;
+        continue;
+      }
+    }
+    words.push_back(w.text);
+  }
+  return util::join(words, "_");
+}
+
+/// A timing constraint's length in ticks, before abstraction.
+unsigned ticks_of(const nlp::TimeConstraint& constraint, const Options& options) {
+  return constraint.total_seconds() / options.seconds_per_tick;
+}
 
 class ClauseTranslator {
  public:
@@ -33,7 +51,8 @@ class ClauseTranslator {
         tick_mapper_(tick_mapper),
         pronoun_referent_(pronoun_referent) {}
 
-  Formula run(const Clause& clause, std::vector<unsigned>* delays) const {
+  /// The clause's formula; appends its pre-mapping tick count to `delays`.
+  Formula run(const Clause& clause, std::vector<unsigned>& delays) const {
     // One literal per subject, combined with the subject conjunction.
     std::vector<Formula> parts;
     for (const NounPhrase& np : clause.subjects) {
@@ -51,8 +70,8 @@ class ClauseTranslator {
       body = ltl::eventually(body);
     }
     if (timed) {
-      unsigned ticks = clause.constraint->total_seconds() / options_.seconds_per_tick;
-      if (delays != nullptr && ticks > 0) delays->push_back(ticks);
+      unsigned ticks = ticks_of(*clause.constraint, options_);
+      if (ticks > 0) delays.push_back(ticks);
       if (tick_mapper_ != nullptr) ticks = tick_mapper_(ticks);
       body = ltl::next_n(body, ticks);
     }
@@ -70,27 +89,13 @@ class ClauseTranslator {
     const Predicate& pred = clause.predicate;
     bool negated = pred.negated;
 
-    // Resolve the subject name, folding reduced noun-phrase adjectives.
-    std::vector<std::string> name_words;
     if (np.pronoun) {
       speccc_check(!pronoun_referent_.empty(),
                    "pronoun subject with no referent in scope");
-      name_words.push_back(pronoun_referent_);
-    } else {
-      for (const nlp::NpWord& w : np.words) {
-        if (w.pos == nlp::Pos::kAdjective && !w.capitalized &&
-            reducer_ != nullptr) {
-          const Reduction r = reducer_->decide("", w.text);
-          if (r.fold) {
-            if (r.negate) negated = !negated;
-            continue;
-          }
-        }
-        name_words.push_back(w.text);
-      }
     }
-    speccc_check(!name_words.empty(), "empty subject after reduction");
-    const std::string subject = util::join(name_words, "_");
+    const std::string subject =
+        np.pronoun ? pronoun_referent_ : np_name(np, reducer_, &negated);
+    speccc_check(!subject.empty(), "empty subject after reduction");
 
     Formula prop;
     switch (pred.kind) {
@@ -182,7 +187,7 @@ namespace {
 
 /// Fold a clause group into one formula using the inter-clause connectives.
 Formula group_formula(const ClauseGroup& group, const ClauseTranslator& ct,
-                      std::vector<unsigned>* delays) {
+                      std::vector<unsigned>& delays) {
   speccc_check(!group.clauses.empty(), "empty clause group");
   Formula acc = ct.run(group.clauses.front().second, delays);
   for (std::size_t i = 1; i < group.clauses.size(); ++i) {
@@ -200,108 +205,109 @@ std::string main_referent(const nlp::Sentence& sentence,
   if (sentence.main.clauses.empty()) return "";
   const Clause& clause = sentence.main.clauses.front().second;
   if (clause.subjects.empty() || clause.subjects.front().pronoun) return "";
-  std::vector<std::string> words;
-  for (const nlp::NpWord& w : clause.subjects.front().words) {
-    if (w.pos == nlp::Pos::kAdjective && !w.capitalized && reducer != nullptr &&
-        reducer->decide("", w.text).fold) {
-      continue;
-    }
-    words.push_back(w.text);
+  return np_name(clause.subjects.front(), reducer, nullptr);
+}
+
+/// One requirement's formula; appends its pre-mapping delays to `delays`.
+Formula sentence_formula(const nlp::Sentence& sentence, const Options& options,
+                         const PropositionReducer* reducer,
+                         const TickMapper& tick_mapper,
+                         std::vector<unsigned>& delays) {
+  const std::string referent = main_referent(sentence, reducer);
+  const ClauseTranslator ct(options, reducer, tick_mapper, referent);
+
+  Formula main = group_formula(sentence.main, ct, delays);
+
+  // Trailing until-subclause: the paper's template (Req-49),
+  //   main until q  ==>  (!q -> (main W q)).
+  if (sentence.until.has_value()) {
+    const Formula q = group_formula(*sentence.until, ct, delays);
+    main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
   }
-  return util::join(words, "_");
+
+  // Conditional subclauses nest right-to-left: the first group is the
+  // outermost antecedent (Req-17.4).
+  Formula body = main;
+  for (auto it = sentence.conditions.rbegin(); it != sentence.conditions.rend();
+       ++it) {
+    body = ltl::implies(group_formula(*it, ct, delays), body);
+  }
+
+  // Universality wrapper; a bare existential main clause stays F-only
+  // (the Existence pattern).
+  if (sentence.conditions.empty() && !sentence.until.has_value() &&
+      body.op() == ltl::Op::kEventually) {
+    return body;
+  }
+  return ltl::always(body);
 }
 
 }  // namespace
 
-ltl::Formula Translator::translate_sentence(const nlp::Sentence& sentence,
-                                            const PropositionReducer* reducer,
-                                            const TickMapper& tick_mapper) const {
-  return [&]() -> Formula {
-    const std::string referent = main_referent(sentence, reducer);
-    const ClauseTranslator ct(options_, reducer, tick_mapper, referent);
-    std::vector<unsigned> sink;
+TickMapper remap_ticks(std::vector<std::uint32_t> thetas,
+                       std::vector<std::uint32_t> reduced) {
+  speccc_check(thetas.size() == reduced.size(),
+               "one reduced count per theta");
+  return [thetas = std::move(thetas),
+          reduced = std::move(reduced)](unsigned ticks) -> unsigned {
+    const auto it = std::lower_bound(thetas.begin(), thetas.end(), ticks);
+    if (it == thetas.end() || *it != ticks) return ticks;
+    return reduced[static_cast<std::size_t>(it - thetas.begin())];
+  };
+}
 
-    Formula main = group_formula(sentence.main, ct, &sink);
+Analysis Translator::analyze(
+    const std::vector<RequirementText>& requirements) const {
+  Analysis analysis;
+  std::set<std::uint32_t> thetas;
+  analysis.sentences.reserve(requirements.size());
+  for (const RequirementText& req : requirements) {
+    // Theta by the rule ClauseTranslator::run records delays with.
+    analysis.sentences.emplace_back(parse_cached(req.text))
+        .for_each_clause([&](const Clause& clause) {
+          if (!clause.constraint.has_value()) return;
+          const unsigned ticks = ticks_of(*clause.constraint, options_);
+          if (ticks > 0) thetas.insert(ticks);
+        });
+  }
+  analysis.thetas.assign(thetas.begin(), thetas.end());
+  if (options_.semantic_reasoning) {
+    analysis.reasoning = semantics::reason(analysis.sentences, dictionary_);
+  }
+  return analysis;
+}
 
-    // Trailing until-subclause: the paper's template (Req-49),
-    //   main until q  ==>  (!q -> (main W q)).
-    if (sentence.until.has_value()) {
-      const Formula q = group_formula(*sentence.until, ct, &sink);
-      main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
-    }
+TranslationResult Translator::emit(
+    Analysis analysis, const std::vector<RequirementText>& requirements,
+    const TickMapper& tick_mapper) const {
+  speccc_check(analysis.sentences.size() == requirements.size(),
+               "analysis covers the requirements it is emitted with");
+  TranslationResult result;
+  std::optional<PropositionReducer> reducer;
+  if (options_.semantic_reasoning) {
+    result.reasoning = std::move(analysis.reasoning);
+    reducer.emplace(result.reasoning, dictionary_);
+  }
+  const PropositionReducer* const reduce = reducer ? &*reducer : nullptr;
 
-    // Conditional subclauses nest right-to-left: the first group is the
-    // outermost antecedent (Req-17.4).
-    Formula body = main;
-    for (auto it = sentence.conditions.rbegin(); it != sentence.conditions.rend();
-         ++it) {
-      body = ltl::implies(group_formula(*it, ct, &sink), body);
-    }
-
-    // Universality wrapper; a bare existential main clause stays F-only
-    // (the Existence pattern).
-    if (sentence.conditions.empty() && !sentence.until.has_value() &&
-        body.op() == ltl::Op::kEventually) {
-      return body;
-    }
-    return ltl::always(body);
-  }();
+  result.requirements.reserve(requirements.size());
+  for (std::size_t i = 0; i < requirements.size(); ++i) {
+    TranslatedRequirement& tr = result.requirements.emplace_back();
+    tr.id = requirements[i].id;
+    tr.text = requirements[i].text;
+    tr.sentence = std::move(analysis.sentences[i]);
+    tr.formula = sentence_formula(tr.sentence, options_, reduce, tick_mapper,
+                                  tr.delays);
+    const auto atoms = tr.formula.atoms();
+    result.propositions.insert(atoms.begin(), atoms.end());
+  }
+  return result;
 }
 
 TranslationResult Translator::translate(
     const std::vector<RequirementText>& requirements,
     const TickMapper& tick_mapper) const {
-  TranslationResult result;
-
-  // Phase 1: parse everything (Algorithm 1 needs the whole specification).
-  // With a cache, revisions and re-translation passes (time abstraction
-  // calls translate() twice) skip re-parsing unchanged sentences.
-  std::vector<nlp::Sentence> sentences;
-  for (const RequirementText& req : requirements) {
-    sentences.push_back(parse_cached(req.text));
-  }
-
-  // Phase 2: semantic reasoning over the whole specification.
-  std::optional<PropositionReducer> reducer;
-  if (options_.semantic_reasoning) {
-    result.reasoning = semantics::reason(sentences, dictionary_);
-    reducer.emplace(result.reasoning, dictionary_);
-  }
-
-  // Phase 3: per-sentence translation.
-  for (std::size_t i = 0; i < requirements.size(); ++i) {
-    TranslatedRequirement tr;
-    tr.id = requirements[i].id;
-    tr.text = requirements[i].text;
-    tr.sentence = sentences[i];
-
-    const std::string referent =
-        main_referent(sentences[i], reducer ? &*reducer : nullptr);
-    const ClauseTranslator ct(options_, reducer ? &*reducer : nullptr,
-                              tick_mapper, referent);
-    // Re-run the sentence translation but harvesting delays.
-    Formula main = group_formula(sentences[i].main, ct, &tr.delays);
-    if (sentences[i].until.has_value()) {
-      const Formula q = group_formula(*sentences[i].until, ct, &tr.delays);
-      main = ltl::implies(ltl::lnot(q), ltl::weak_until(main, q));
-    }
-    Formula body = main;
-    for (auto it = sentences[i].conditions.rbegin();
-         it != sentences[i].conditions.rend(); ++it) {
-      body = ltl::implies(group_formula(*it, ct, &tr.delays), body);
-    }
-    if (sentences[i].conditions.empty() && !sentences[i].until.has_value() &&
-        body.op() == ltl::Op::kEventually) {
-      tr.formula = body;
-    } else {
-      tr.formula = ltl::always(body);
-    }
-
-    const auto atoms = tr.formula.atoms();
-    result.propositions.insert(atoms.begin(), atoms.end());
-    result.requirements.push_back(std::move(tr));
-  }
-  return result;
+  return emit(analyze(requirements), requirements, tick_mapper);
 }
 
 std::vector<ltl::Formula> TranslationResult::formulas() const {

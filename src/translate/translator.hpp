@@ -10,8 +10,10 @@
 //      becomes F, "until" becomes the weak-until template, "in t seconds"
 //      becomes a chain of X operators.
 //
-// Timing constraints are harvested so the Section IV-E abstraction can remap
-// tick counts; translate() accepts a tick mapper for the re-encoding pass.
+// analyze() parses and runs the Section IV-D reasoning once per
+// specification and reads the tick counts Theta off the parse; emit() then
+// runs steps 2-3 once, with the Section IV-E abstraction's tick mapper
+// already decided.
 //
 // The "next" subordinator: the grammar maps it to X, but the paper's own
 // appendix drops it from every generated formula (Req-13.1, Req-20, Req-44,
@@ -20,6 +22,7 @@
 // appendix so the golden corpus matches the published formulas.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -68,6 +71,17 @@ struct TranslatedRequirement {
   std::vector<unsigned> delays;
 };
 
+/// The parse and reasoning of a specification: what emit() needs.
+struct Analysis {
+  std::vector<nlp::Sentence> sentences;  // one per requirement, in order
+  semantics::ReasoningResult reasoning;  // empty without semantic_reasoning
+  std::vector<std::uint32_t> thetas;  // == the emitted result's thetas()
+};
+
+/// Maps ascending thetas[i] to reduced[i], any other count to itself.
+[[nodiscard]] TickMapper remap_ticks(std::vector<std::uint32_t> thetas,
+                                     std::vector<std::uint32_t> reduced);
+
 struct TranslationResult {
   std::vector<TranslatedRequirement> requirements;
   semantics::ReasoningResult reasoning;
@@ -81,7 +95,7 @@ struct TranslationResult {
 class Translator {
  public:
   /// `cache` (optional, caller-owned, must outlive the translator) memoizes
-  /// sentence parses across translate() calls — the level-1 cache of
+  /// sentence parses across analyze() calls — the level-1 cache of
   /// cache/store.hpp, keyed by normalized sentence text plus this lexicon's
   /// fingerprint, so building a translator over an edited vocabulary
   /// invalidates by changing the key. The referenced lexicon must not be
@@ -95,16 +109,20 @@ class Translator {
              const semantics::AntonymDictionary& dictionary,
              Options options = {}, cache::Store* cache = nullptr);
 
-  /// Translate a specification. The optional tick mapper re-encodes timing
-  /// constraints (Section IV-E second pass).
-  [[nodiscard]] TranslationResult translate(
-      const std::vector<RequirementText>& requirements,
+  /// Parse every sentence and reason over all of them (Algorithm 1 needs
+  /// the whole specification).
+  [[nodiscard]] Analysis analyze(
+      const std::vector<RequirementText>& requirements) const;
+
+  /// Steps 2-3, with `tick_mapper` (identity when null) on every deadline.
+  /// `analysis` must come from analyze(requirements).
+  [[nodiscard]] TranslationResult emit(
+      Analysis analysis, const std::vector<RequirementText>& requirements,
       const TickMapper& tick_mapper = nullptr) const;
 
-  /// Translate a single sentence with a prebuilt reducer (nullptr disables
-  /// reduction). Exposed for tests and the Fig. 2 example binary.
-  [[nodiscard]] ltl::Formula translate_sentence(
-      const nlp::Sentence& sentence, const semantics::PropositionReducer* reducer,
+  /// emit(analyze(requirements), requirements, tick_mapper).
+  [[nodiscard]] TranslationResult translate(
+      const std::vector<RequirementText>& requirements,
       const TickMapper& tick_mapper = nullptr) const;
 
  private:

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/snapshot.hpp"
@@ -624,6 +625,36 @@ TEST(Snapshot, RejectsOutOfRangeEnumValues) {
   cache::Store kind_store;
   kind_store.put_sentence(Digest{1, 1}, bad_kind);
   rejects("enum-kind.snap", kind_store);
+}
+
+TEST(Snapshot, RejectsTimeConstraintPastTheGrammarsLimit) {
+  // The parser rejects a deadline past nlp::kMaxConstraintSeconds, so a
+  // stored parse carrying one is corruption.
+  const auto load = [](const char* name, unsigned value, unsigned unit) {
+    nlp::Sentence sentence;
+    sentence.main.clauses.emplace_back("", nlp::Clause{});
+    sentence.main.clauses[0].second.constraint = nlp::TimeConstraint{value, unit};
+    cache::Store store;
+    store.put_sentence(Digest{1, 1}, sentence);
+    const std::string path = snapshot_path(name);
+    cache::save_snapshot(store, path, kStampA);
+    cache::Store target;
+    cache::load_snapshot(target, path, kStampA);
+    return target.size();
+  };
+  EXPECT_EQ(load("deadline-at-cap.snap", 1048576, 1), 1u);
+  const std::pair<unsigned, unsigned> past_cap[] = {
+      {1048577u, 1u}, {1193047u, 3600u}, {4294967295u, 4294967295u}};
+  for (const auto& [value, unit] : past_cap) {
+    try {
+      (void)load("deadline-past-cap.snap", value, unit);
+      ADD_FAILURE() << value << " x " << unit << " s was accepted";
+    } catch (const cache::SnapshotError& e) {
+      EXPECT_EQ(e.kind(), cache::SnapshotErrorKind::kCorrupted);
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, RejectsWrongFormatVersion) {

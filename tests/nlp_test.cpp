@@ -2,6 +2,9 @@
 // the structured-English grammar parser, and typed-dependency extraction.
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string>
+
 #include "nlp/dependency.hpp"
 #include "nlp/lexicon.hpp"
 #include "nlp/syntax.hpp"
@@ -255,6 +258,61 @@ TEST(Syntax, RejectsUngrammaticalSentences) {
   EXPECT_THROW(
       (void)nlp::parse_sentence("If the cuff is pressed the alarm.", lex()),
       speccc::util::ParseError);
+}
+
+/// The deadline of "If the button is pressed, the door is closed <deadline>."
+/// in seconds, or the failure it raises.
+std::string deadline_of(const std::string& deadline) {
+  try {
+    const auto s = nlp::parse_sentence(
+        "If the button is pressed, the door is closed " + deadline + ".", lex());
+    const auto& constraint = s.main.clauses[0].second.constraint;
+    return constraint ? std::to_string(constraint->total_seconds()) : "none";
+  } catch (const speccc::util::ParseError& e) {
+    return std::string("ParseError: ") + e.what();
+  } catch (const std::exception& e) {
+    return std::string("not a ParseError: ") + e.what();
+  }
+}
+
+/// The start of deadline_of(deadline), as long as a rejection quoting it.
+std::string rejection_of(const std::string& deadline) {
+  const std::string quoted = "ParseError: time constraint \"" + deadline + "\"";
+  return deadline_of(deadline).substr(0, quoted.size());
+}
+
+TEST(Syntax, TimeConstraintAtTheCapIsAccepted) {
+  EXPECT_EQ(nlp::kMaxConstraintSeconds, 1048576u);
+  EXPECT_EQ(deadline_of("in 1048576 seconds"), "1048576");
+  EXPECT_EQ(deadline_of("in 291 hours"), "1047600");
+}
+
+TEST(Syntax, TimeConstraintPastTheCapIsRejected) {
+  EXPECT_EQ(deadline_of("in 1048577 seconds"),
+            "ParseError: time constraint \"in 1048577 seconds\" exceeds the "
+            "limit of 1048576 seconds in \"If the button is pressed, the door "
+            "is closed in 1048577 seconds.\"");
+  EXPECT_EQ(rejection_of("in 292 hours"),
+            "ParseError: time constraint \"in 292 hours\"");
+}
+
+TEST(Syntax, OverlongTimeLiteralIsAParseError) {
+  // Longer than 64 bits: must not escape as std::out_of_range.
+  EXPECT_EQ(rejection_of("in 99999999999999999999999 seconds"),
+            "ParseError: time constraint \"in 99999999999999999999999 "
+            "seconds\"");
+}
+
+TEST(Syntax, TimeConstraintPast32BitsIsNotTruncated) {
+  // 2^32: truncated to 32 bits it would be 0 seconds, no deadline at all.
+  EXPECT_EQ(rejection_of("in 4294967296 seconds"),
+            "ParseError: time constraint \"in 4294967296 seconds\"");
+}
+
+TEST(Syntax, TimeConstraintInHoursDoesNotWrap) {
+  // 1193047 * 3600 wraps 32 bits to 1904 seconds.
+  EXPECT_EQ(rejection_of("in 1193047 hours"),
+            "ParseError: time constraint \"in 1193047 hours\"");
 }
 
 // ---- Dependencies -----------------------------------------------------------

@@ -16,9 +16,11 @@
 #include "corpus/telepromise.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
+#include "difftest/harness.hpp"
 #include "ltl/formula.hpp"
 #include "synth/verify.hpp"
 #include "util/diagnostics.hpp"
+#include "util/digest.hpp"
 
 namespace core = speccc::core;
 namespace corpus = speccc::corpus;
@@ -189,6 +191,70 @@ TEST(Report, TableRowAndDescribe) {
   const std::string text = core::describe(result);
   EXPECT_NE(text.find("consistent"), std::string::npos);
   EXPECT_NE(text.find("time abstraction: d = 60"), std::string::npos);
+}
+
+// ---- Stage 1 pins ------------------------------------------------------------
+
+/// Fold what stage 1 decides for one spec into `digest`: every formula and
+/// its delays, the abstraction, and the report with its timings zeroed (or
+/// the error text, for a spec that does not check). True iff it was timed.
+bool absorb_stage_one(speccc::util::DigestBuilder& digest,
+                      const core::Pipeline& pipeline, const std::string& name,
+                      const std::vector<translate::RequirementText>& spec) {
+  core::PipelineResult result;
+  try {
+    result = pipeline.run(name, spec);
+  } catch (const speccc::util::SpecError& e) {
+    digest.str(e.what());
+    return false;
+  }
+  for (const auto& req : result.translation.requirements) {
+    digest.str(req.id).str(speccc::ltl::to_string(req.formula));
+    digest.u64(req.delays.size());
+    for (unsigned d : req.delays) digest.u64(d);
+  }
+  if (result.abstraction.has_value()) {
+    digest.u64(result.abstraction->divisor);
+    for (std::uint32_t r : result.abstraction->reduced) digest.u64(r);
+  }
+  result.translation_seconds = result.synthesis_seconds = 0;
+  result.refinement_seconds = result.screen_seconds = 0;
+  digest.str(core::describe(result));
+  return result.abstraction.has_value();
+}
+
+TEST(PipelineStageOne, FormulasAndAbstractionsArePinned) {
+  // What stage 1 produces (formulas, delays, divisors, reduced counts,
+  // reports) must not move when its work is reorganised; any change to it
+  // moves these digests.
+  const core::Pipeline pipeline;
+  speccc::util::DigestBuilder table1("stage1-pin");
+  for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+    absorb_stage_one(table1, pipeline, task.name, task.requirements);
+  }
+  EXPECT_EQ(table1.finalize().hex(), "105deaa53f084e25a5d1dcacba38e214");
+
+  speccc::util::DigestBuilder generated("stage1-pin");
+  int timed = 0;
+  for (int index = 1; index <= 200; ++index) {
+    const auto spec = speccc::difftest::generated_spec(7, index);
+    timed += absorb_stage_one(generated, pipeline, spec.name, spec.requirements);
+  }
+  EXPECT_EQ(timed, 128);  // the generated specs that carry a Theta
+  EXPECT_EQ(generated.finalize().hex(), "e80d1d1cd1cced07aad71fe692559ebe");
+}
+
+TEST(PipelineStageOne, EachSentenceIsParsedOnce) {
+  // A fresh store per row: one level-1 lookup per requirement, timed rows
+  // included: their tick counts are read off that one parse.
+  for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+    core::PipelineOptions options;
+    options.cache = std::make_shared<speccc::cache::Store>();
+    (void)core::Pipeline(options).run(task.name, task.requirements);
+    const speccc::cache::StatsSnapshot stats = options.cache->stats();
+    EXPECT_EQ(stats.l1_hits + stats.l1_misses, task.requirements.size())
+        << task.name;
+  }
 }
 
 std::size_t satisfiability_entries(const speccc::cache::Store& store) {

@@ -3,6 +3,7 @@
 // formulas (modulo documented normalizations, see corpus/cara.hpp).
 #include <gtest/gtest.h>
 
+#include "batch/corpus_tasks.hpp"
 #include "corpus/cara.hpp"
 #include "ltl/formula.hpp"
 #include "nlp/lexicon.hpp"
@@ -213,6 +214,41 @@ TEST(Translator, ThetasCollectsDistinctDelays) {
       {"c", "If the door is detected, the alarm is issued in 3 seconds."},
   });
   EXPECT_EQ(result.thetas(), (std::vector<std::uint32_t>{3, 60}));
+}
+
+TEST(Translator, AnalyzeReadsThetaOffTheParse) {
+  // Theta comes from the parsed constraints, before any formula is built,
+  // and must be the set the emitted requirements record as delays.
+  const translate::Translator tr(lex(), dict());
+  for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+    const translate::Analysis analysis = tr.analyze(task.requirements);
+    EXPECT_EQ(analysis.sentences.size(), task.requirements.size());
+    EXPECT_EQ(analysis.thetas, tr.translate(task.requirements).thetas())
+        << task.name;
+  }
+}
+
+TEST(Translator, EmitMapsTicksButRecordsRawDelays) {
+  const std::vector<translate::RequirementText> spec = {
+      {"a", "If the pump is detected, the alarm is issued in 3 seconds."},
+      {"b", "If the valve is selected, the alarm is issued in 60 seconds."},
+  };
+  const translate::Translator tr(lex(), dict());
+  translate::Analysis analysis = tr.analyze(spec);
+  ASSERT_EQ(analysis.thetas, (std::vector<std::uint32_t>{3, 60}));
+  const translate::TickMapper mapper =
+      translate::remap_ticks(analysis.thetas, {0, 1});
+  EXPECT_EQ(mapper(7), 7u);  // not in Theta: unchanged
+  const auto result = tr.emit(std::move(analysis), spec, mapper);
+  EXPECT_EQ(ltl::to_string(result.requirements[0].formula),
+            "G (detect_pump -> issue_alarm)");
+  EXPECT_EQ(ltl::to_string(result.requirements[1].formula),
+            "G (select_valve -> X issue_alarm)");
+  EXPECT_EQ(result.requirements[0].delays, (std::vector<unsigned>{3}));
+  EXPECT_EQ(result.requirements[1].delays, (std::vector<unsigned>{60}));
+  EXPECT_EQ(result.thetas(), (std::vector<std::uint32_t>{3, 60}));
+  // The parse moved into the result intact.
+  EXPECT_EQ(result.requirements[1].sentence.text, spec[1].text);
 }
 
 TEST(Translator, UngrammaticalInputThrows) {
