@@ -20,6 +20,7 @@
 //   --dot FILE         write the synthesized controller as Graphviz DOT
 //
 // Exit code: 0 consistent, 2 inconsistent, 1 usage/parsing error.
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,6 +30,7 @@
 #include "corpus/loaders.hpp"
 #include "ltl/formula.hpp"
 #include "synth/mealy_export.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -43,7 +45,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   using namespace speccc;
-  if (argc < 2) return usage();
 
   std::string spec_path;
   std::string dot_path;
@@ -52,47 +53,49 @@ int main(int argc, char** argv) {
   auto lexicon = nlp::Lexicon::builtin();
   auto dictionary = semantics::AntonymDictionary::builtin();
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next_arg = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << what << " needs an argument\n";
-        std::exit(1);
+  try {
+    util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--strict-next") {
+        options.translation.next_mode = translate::NextMode::kStrict;
+      } else if (arg == "--no-reasoning") {
+        options.translation.semantic_reasoning = false;
+      } else if (arg == "--no-abstraction") {
+        options.time_abstraction = false;
+      } else if (arg == "--budget") {
+        options.error_budget = args.number(std::uint32_t{0});
+      } else if (arg == "--lexicon") {
+        std::ifstream in(args.next());
+        if (!in) {
+          std::cerr << "cannot open lexicon file\n";
+          return 1;
+        }
+        corpus::load_lexicon(in, lexicon);
+      } else if (arg == "--antonyms") {
+        std::ifstream in(args.next());
+        if (!in) {
+          std::cerr << "cannot open antonym file\n";
+          return 1;
+        }
+        corpus::load_antonyms(in, dictionary);
+      } else if (arg == "--formulas") {
+        print_formulas = true;
+      } else if (arg == "--dot") {
+        dot_path = args.next();
+        options.synthesis.symbolic.extract = true;
+      } else if (spec_path.empty() && arg[0] != '-') {
+        spec_path = arg;
+      } else {
+        return usage();
       }
-      return argv[++i];
-    };
-    if (arg == "--strict-next") {
-      options.translation.next_mode = translate::NextMode::kStrict;
-    } else if (arg == "--no-reasoning") {
-      options.translation.semantic_reasoning = false;
-    } else if (arg == "--no-abstraction") {
-      options.time_abstraction = false;
-    } else if (arg == "--budget") {
-      options.error_budget = static_cast<std::uint32_t>(std::stoul(next_arg("--budget")));
-    } else if (arg == "--lexicon") {
-      std::ifstream in(next_arg("--lexicon"));
-      if (!in) {
-        std::cerr << "cannot open lexicon file\n";
-        return 1;
-      }
-      corpus::load_lexicon(in, lexicon);
-    } else if (arg == "--antonyms") {
-      std::ifstream in(next_arg("--antonyms"));
-      if (!in) {
-        std::cerr << "cannot open antonym file\n";
-        return 1;
-      }
-      corpus::load_antonyms(in, dictionary);
-    } else if (arg == "--formulas") {
-      print_formulas = true;
-    } else if (arg == "--dot") {
-      dot_path = next_arg("--dot");
-      options.synthesis.symbolic.extract = true;
-    } else if (spec_path.empty() && arg[0] != '-') {
-      spec_path = arg;
-    } else {
-      return usage();
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
+  } catch (const std::exception& e) {  // a malformed --lexicon/--antonyms
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
   if (spec_path.empty()) return usage();
 

@@ -1,11 +1,34 @@
 #include "core/pipeline.hpp"
 
+#include <functional>
+
 #include "automata/emptiness.hpp"
 #include "ltl/rewrite.hpp"
 
 #include "util/diagnostics.hpp"
 
 namespace speccc::core {
+
+namespace {
+
+/// One memoized step of Pipeline::run. Without a store it is compute().
+/// With one, key() is built and looked up through find; a miss is
+/// computed and stored through put. find and put are invoked on the store.
+template <typename Key, typename Find, typename Put, typename Compute>
+auto memoized(cache::Store* store, const Key& key, const Find& find,
+              const Put& put, const Compute& compute) {
+  using Value = decltype(compute());
+  if (store == nullptr) return compute();
+  const util::Digest digest = key();
+  if (auto hit = std::invoke(find, *store, digest)) {
+    return Value(*std::move(hit));
+  }
+  Value value = compute();
+  std::invoke(put, *store, digest, value);
+  return value;
+}
+
+}  // namespace
 
 Pipeline::Pipeline(PipelineOptions options)
     : options_(std::move(options)),
@@ -50,7 +73,6 @@ PipelineResult Pipeline::run(
     timeabs::Request request;
     request.thetas = analysis.thetas;
     request.error_budget = options_.error_budget;
-    std::optional<timeabs::Abstraction> abstraction;
     // The cache key folds the encoder only for the SMT backend (as an
     // offset past the backend enum), so enumeration-backed keys -- and the
     // pinned snapshot digests built on them -- are unchanged. Distinct
@@ -61,18 +83,17 @@ PipelineResult Pipeline::run(
         options_.smt_encoder == timeabs::SmtEncoder::kTseitin) {
       key_backend += 2;
     }
-    if (store != nullptr) {
-      const util::Digest key = cache::abstraction_key(request, key_backend);
-      abstraction = store->find_abstraction(key);
-      if (!abstraction.has_value()) {
-        abstraction = timeabs::optimize(request, options_.timeabs_backend,
-                                        options_.smt_encoder);
-        if (abstraction.has_value()) store->put_abstraction(key, *abstraction);
-      }
-    } else {
-      abstraction = timeabs::optimize(request, options_.timeabs_backend,
-                                      options_.smt_encoder);
-    }
+    const std::optional<timeabs::Abstraction> abstraction = memoized(
+        store, [&] { return cache::abstraction_key(request, key_backend); },
+        &cache::Store::find_abstraction,
+        [](cache::Store& s, const util::Digest& key,
+           const std::optional<timeabs::Abstraction>& computed) {
+          if (computed.has_value()) s.put_abstraction(key, *computed);
+        },
+        [&] {
+          return timeabs::optimize(request, options_.timeabs_backend,
+                                   options_.smt_encoder);
+        });
     speccc_check(abstraction.has_value(), "abstraction always has d=1 fallback");
     result.abstraction = abstraction;
     mapper = translate::remap_ticks(std::move(request.thetas),
@@ -123,26 +144,23 @@ PipelineResult Pipeline::run(
   };
 
   util::Stopwatch stage2;
-  if (store != nullptr) {
-    // Verdict and engine statistics are pure functions of the key; the
-    // result's embedded `seconds` is the original computation's timing (the
-    // caller-visible stage clock below is always fresh). Non-auto specs
-    // fold the spec string into the key: a tableau abstention and a raced
-    // verdict are different computations than auto's.
-    const util::Digest key =
-        effective.is_auto()
-            ? cache::synthesis_key(formulas, signature, options_.synthesis)
-            : cache::synthesis_key(formulas, signature, options_.synthesis,
-                                   effective.to_string());
-    if (auto hit = store->find_synthesis(key)) {
-      result.synthesis = *std::move(hit);
-    } else {
-      result.synthesis = check_realizability();
-      store->put_synthesis(key, result.synthesis);
-    }
-  } else {
-    result.synthesis = check_realizability();
-  }
+  // Verdict and engine statistics are pure functions of the key; the
+  // result's embedded `seconds` is the original computation's timing (the
+  // caller-visible stage clock below is always fresh). Non-auto specs
+  // fold the spec string into the key: a tableau abstention and a raced
+  // verdict are different computations than auto's.
+  result.synthesis = memoized(
+      store,
+      [&] {
+        return effective.is_auto()
+                   ? cache::synthesis_key(formulas, signature,
+                                          options_.synthesis)
+                   : cache::synthesis_key(formulas, signature,
+                                          options_.synthesis,
+                                          effective.to_string());
+      },
+      &cache::Store::find_synthesis, &cache::Store::put_synthesis,
+      check_realizability);
   result.synthesis_seconds = stage2.seconds();
   result.consistent =
       result.synthesis.verdict == synth::Realizability::kRealizable;
@@ -151,21 +169,16 @@ PipelineResult Pipeline::run(
   if (!result.consistent && options_.refine_on_failure) {
     poll_cancel("refinement");
     util::Stopwatch stage3;
-    if (store != nullptr) {
-      const util::Digest key = cache::refinement_key(
-          formulas, signature, options_.synthesis, options_.localization);
-      if (auto hit = store->find_refinement(key)) {
-        result.refinement = *std::move(hit);
-      } else {
-        result.refinement = refine::refine(formulas, result.partition,
-                                           options_.synthesis,
-                                           options_.localization);
-        store->put_refinement(key, *result.refinement);
-      }
-    } else {
-      result.refinement = refine::refine(
-          formulas, result.partition, options_.synthesis, options_.localization);
-    }
+    result.refinement = memoized(
+        store,
+        [&] {
+          return cache::refinement_key(formulas, signature, options_.synthesis,
+                                       options_.localization);
+        },
+        &cache::Store::find_refinement, &cache::Store::put_refinement, [&] {
+          return refine::refine(formulas, result.partition, options_.synthesis,
+                                options_.localization);
+        });
     result.refinement_seconds = stage3.seconds();
     if (result.refinement->consistent) {
       result.consistent = true;
@@ -185,18 +198,12 @@ PipelineResult Pipeline::run(
       if (ltl::max_next_chain(req.formula) > options_.satisfiability_chain_cap) {
         continue;
       }
-      bool satisfiable;
-      if (store != nullptr) {
-        const util::Digest key = cache::satisfiability_key(req.formula);
-        if (const auto hit = store->find_satisfiable(key)) {
-          satisfiable = *hit;
-        } else {
-          satisfiable = automata::satisfiable(req.formula, options_.cancelled);
-          store->put_satisfiable(key, satisfiable);
-        }
-      } else {
-        satisfiable = automata::satisfiable(req.formula, options_.cancelled);
-      }
+      const bool satisfiable = memoized(
+          store, [&] { return cache::satisfiability_key(req.formula); },
+          &cache::Store::find_satisfiable, &cache::Store::put_satisfiable,
+          [&] {
+            return automata::satisfiable(req.formula, options_.cancelled);
+          });
       if (!satisfiable) {
         result.unsatisfiable_requirements.push_back(req.id);
       }

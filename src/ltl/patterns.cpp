@@ -2,26 +2,6 @@
 
 namespace speccc::ltl {
 
-Formula universality(Formula p) { return always(p); }
-
-Formula existence(Formula p) { return eventually(p); }
-
-Formula implication(Formula trigger, Formula resp) {
-  return always(implies(trigger, resp));
-}
-
-Formula delayed_implication(Formula trigger, Formula resp, std::size_t delay) {
-  return always(implies(trigger, next_n(resp, delay)));
-}
-
-Formula response(Formula trigger, Formula resp) {
-  return always(implies(trigger, eventually(resp)));
-}
-
-Formula until_template(Formula cond, Formula hold, Formula rel) {
-  return always(implies(cond, implies(lnot(rel), weak_until(hold, rel))));
-}
-
 namespace {
 
 /// Strip X operators from the front; returns the stripped count.

@@ -1,11 +1,10 @@
-// Property-pattern templates (Dwyer et al. [6], Salamah et al. [19]).
+// Property-pattern recognition (Dwyer et al. [6], Salamah et al. [19]).
 //
 // The paper's translator (translate/translator.hpp) produces the
 // Universality and Existence patterns plus the implication/response shapes
-// that the structured-English subordinators induce; it builds them inline.
-// The constructors below spell those shapes out, and the symbolic synthesis
-// engine recognizes them when compiling a specification into deterministic
-// monitors.
+// that the structured-English subordinators induce, building them inline.
+// recognize_pattern() reads those shapes back, so the symbolic synthesis
+// engine can compile a specification into deterministic monitors.
 #pragma once
 
 #include <cstddef>
@@ -14,33 +13,6 @@
 #include "ltl/formula.hpp"
 
 namespace speccc::ltl {
-
-// ---- Template constructors -------------------------------------------------
-
-/// Universality, global scope: G p.
-[[nodiscard]] Formula universality(Formula p);
-
-/// Existence, global scope: F p.
-[[nodiscard]] Formula existence(Formula p);
-
-/// Immediate implication: G (trigger -> response).
-[[nodiscard]] Formula implication(Formula trigger, Formula response);
-
-/// Delayed implication: G (trigger -> X^n response); Section IV-E's timed
-/// requirements produce this shape.
-[[nodiscard]] Formula delayed_implication(Formula trigger, Formula response,
-                                          std::size_t delay);
-
-/// Response: G (trigger -> F response).
-[[nodiscard]] Formula response(Formula trigger, Formula response);
-
-/// The paper's "until" template (Req-49): once `cond` holds, if `release`
-/// has not happened yet then `hold` persists weakly until `release`:
-/// G (cond -> (!release -> (hold W release))).
-[[nodiscard]] Formula until_template(Formula cond, Formula hold,
-                                     Formula release);
-
-// ---- Pattern recognition (used by the symbolic engine) ---------------------
 
 enum class PatternKind {
   kInvariant,        // G p                      (safety)

@@ -363,15 +363,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- Pattern recognition ----------------------------------------------------
 
-TEST(Patterns, TemplateConstructors) {
-  EXPECT_EQ(ltl::to_string(ltl::response(a(), b())), "G (a -> F b)");
-  EXPECT_EQ(ltl::to_string(ltl::delayed_implication(a(), b(), 2)),
-            "G (a -> X X b)");
-  // W binds tighter than ->, so the canonical form needs no inner parens.
-  EXPECT_EQ(ltl::to_string(ltl::until_template(a(), b(), c())),
-            "G (a -> !c -> b W c)");
-}
-
 TEST(Patterns, RecognizeInvariant) {
   auto p = ltl::recognize_pattern(ltl::parse("G (a -> b || c)"));
   ASSERT_TRUE(p.has_value());

@@ -459,3 +459,55 @@ TEST(ShardCli, MalformedNumericFlagValuesAreUsageErrors) {
     EXPECT_TRUE(slurp(dir + "/out").empty()) << command;
   }
 }
+
+// The coordinator parses every flag it forwards with speccc_batch's own
+// parser: a bad value is batch's usage error, reported before any worker
+// starts (the wrapper worker would leave a marker file behind).
+// With no arguments there is nothing to check: the coordinator says so
+// and starts no worker (its own path is not an input). The default worker
+// is the speccc_batch next to the coordinator, so a copy of the
+// coordinator sits beside a speccc_batch that only touches a marker.
+TEST(ShardCli, NoArgumentsChecksNothingAndStartsNoWorker) {
+  const std::string dir = test_dir();
+  const std::string marker = dir + "/worker-started";
+  write_wrapper(dir, "speccc_batch", "touch \"" + marker + "\"\n");
+  const std::string coordinator = dir + "/speccc_shard";
+  fs::copy_file(SPECCC_SHARD_BIN, coordinator);
+  EXPECT_EQ(run_command(coordinator, dir + "/out", dir + "/err"), 1);
+  EXPECT_EQ(slurp(dir + "/err").rfind("no specifications to check\n", 0), 0u)
+      << slurp(dir + "/err");
+  EXPECT_TRUE(slurp(dir + "/out").empty());
+  EXPECT_FALSE(fs::exists(marker));
+}
+
+TEST(ShardCli, BadPassthroughValuesFailBeforeAnyWorkerStarts) {
+  const std::string dir = test_dir();
+  const std::string marker = dir + "/worker-started";
+  const std::string wrapper =
+      write_wrapper(dir, "marker", "touch \"" + marker + "\"\n");
+  const std::pair<std::string, std::string> cases[] = {
+      {"--substrate bogus", "invalid --substrate: "},
+      {"--time-budget 1s", "--time-budget: bad value \"1s\""},
+      {"--cache-max 0", "--cache-max: bad value \"0\""},
+      {"--corpus nope", "unknown corpus: nope"}};
+  for (const auto& [flag, message] : cases) {
+    const std::string inputs = " --generate 1 " + flag;
+    EXPECT_EQ(run_command(std::string(SPECCC_BATCH_BIN) + inputs,
+                          dir + "/batch.out", dir + "/batch.err"),
+              1)
+        << flag;
+    const std::string batch_err = slurp(dir + "/batch.err");
+    const std::string batch_message = batch_err.substr(0, batch_err.find('\n'));
+    EXPECT_EQ(batch_message.rfind(message, 0), 0u) << batch_err;
+
+    EXPECT_EQ(run_command(std::string(SPECCC_SHARD_BIN) + inputs +
+                              " --shards 2 --worker " + wrapper,
+                          dir + "/shard.out", dir + "/shard.err"),
+              1)
+        << flag;
+    EXPECT_EQ(slurp(dir + "/shard.err").rfind(batch_message + "\n", 0), 0u)
+        << flag << ": " << slurp(dir + "/shard.err");
+    EXPECT_TRUE(slurp(dir + "/shard.out").empty()) << flag;
+    EXPECT_FALSE(fs::exists(marker)) << flag;
+  }
+}

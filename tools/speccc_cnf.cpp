@@ -26,18 +26,15 @@
 //
 // Exit code: 0 on success, 2 on usage errors.
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aig/cnf.hpp"
 #include "sat/solver.hpp"
 #include "smt/bitblast.hpp"
-#include "util/strings.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -140,43 +137,34 @@ int main(int argc, char** argv) {
   int cut_size = 4;
   std::string out_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
-    const auto next_number = [&]<typename T>(
-                                 T min, T max = std::numeric_limits<T>::max()) {
-      const std::string_view text = i + 1 < argc ? argv[++i] : "";
-      if (const auto value = speccc::util::parse_number(text, min, max)) {
-        return *value;
+  try {
+    speccc::util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--multiplier") {
+        instance = Instance::kMultiplier;
+        size = args.number(1LL);
+      } else if (arg == "--miter") {
+        instance = Instance::kMiter;
+        size = args.number(1LL);
+      } else if (arg == "--pigeonhole") {
+        instance = Instance::kPigeonhole;
+        size = args.number(2LL);
+      } else if (arg == "--tseitin") {
+        tseitin = true;
+      } else if (arg == "--cut-size") {
+        cut_size = args.number(2, 6);  // truth tables are 64-bit, so k <= 6
+      } else if (arg == "--solve") {
+        solve = true;
+      } else if (arg == "-o") {
+        out_path = args.next();
+      } else {
+        throw speccc::util::UsageError("unknown option: " + arg);
       }
-      std::cerr << arg << ": bad value \"" << text << "\"\n";
-      std::exit(usage());
-    };
-    if (arg == "--multiplier") {
-      instance = Instance::kMultiplier;
-      size = next_number(1LL);
-    } else if (arg == "--miter") {
-      instance = Instance::kMiter;
-      size = next_number(1LL);
-    } else if (arg == "--pigeonhole") {
-      instance = Instance::kPigeonhole;
-      size = next_number(2LL);
-    } else if (arg == "--tseitin") {
-      tseitin = true;
-    } else if (arg == "--cut-size") {
-      cut_size = next_number(2, 6);  // truth tables are 64-bit, so k <= 6
-    } else if (arg == "--solve") {
-      solve = true;
-    } else if (arg == "-o") {
-      if (i + 1 >= argc) {
-        std::cerr << "-o needs an argument\n";
-        return usage();
-      }
-      out_path = argv[++i];
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return usage();
     }
+  } catch (const speccc::util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   }
   if (instance == Instance::kNone) {
     std::cerr << "pick an instance: --multiplier, --miter, or --pigeonhole\n";

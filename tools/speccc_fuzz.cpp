@@ -29,15 +29,12 @@
 // met, 1 on any disagreement, 2 on usage errors, 3 when mass tableau-cap
 // skips left the quota unmet (a green exit must mean real coverage).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <string_view>
 
 #include "difftest/circuit.hpp"
 #include "difftest/harness.hpp"
-#include "util/strings.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -60,46 +57,41 @@ int main(int argc, char** argv) {
   int circuit_cases = 50;
   int only_circuit_case = -1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
-    const auto next_number = [&]<typename T>(
-                                 T min, T max = std::numeric_limits<T>::max()) {
-      const std::string_view text = i + 1 < argc ? argv[++i] : "";
-      if (const auto value = speccc::util::parse_number(text, min, max)) {
-        return *value;
+  try {
+    util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--seed") {
+        options.seed = args.number(std::uint64_t{0});
+      } else if (arg == "--formulas") {
+        options.formula_cases = args.number(0);
+      } else if (arg == "--specs") {
+        options.spec_cases = args.number(0);
+      } else if (arg == "--formula-case") {
+        options.only_formula_case = args.number(0);
+      } else if (arg == "--circuits") {
+        circuit_cases = args.number(0);
+      } else if (arg == "--spec-case") {
+        options.only_spec_case = args.number(0);
+      } else if (arg == "--circuit-case") {
+        only_circuit_case = args.number(0);
+      } else if (arg == "--max-depth") {
+        options.formula.max_depth = args.number(std::size_t{1});
+      } else if (arg == "--props") {
+        props = args.number(std::size_t{1});
+      } else if (arg == "--lassos") {
+        options.oracle.lassos_per_formula = args.number(1);
+      } else if (arg == "--no-shrink") {
+        options.shrink = false;
+      } else if (arg == "--quiet") {
+        options.progress = nullptr;
+      } else {
+        throw util::UsageError("unknown option: " + arg);
       }
-      std::cerr << arg << ": bad value \"" << text << "\"\n";
-      std::exit(usage());
-    };
-    if (arg == "--seed") {
-      options.seed = next_number(std::uint64_t{0});
-    } else if (arg == "--formulas") {
-      options.formula_cases = next_number(0);
-    } else if (arg == "--specs") {
-      options.spec_cases = next_number(0);
-    } else if (arg == "--formula-case") {
-      options.only_formula_case = next_number(0);
-    } else if (arg == "--circuits") {
-      circuit_cases = next_number(0);
-    } else if (arg == "--spec-case") {
-      options.only_spec_case = next_number(0);
-    } else if (arg == "--circuit-case") {
-      only_circuit_case = next_number(0);
-    } else if (arg == "--max-depth") {
-      options.formula.max_depth = next_number(std::size_t{1});
-    } else if (arg == "--props") {
-      props = next_number(std::size_t{1});
-    } else if (arg == "--lassos") {
-      options.oracle.lassos_per_formula = next_number(1);
-    } else if (arg == "--no-shrink") {
-      options.shrink = false;
-    } else if (arg == "--quiet") {
-      options.progress = nullptr;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return usage();
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   }
   if (props > 0) {
     // The formula pool and the lasso pool must match, or the random-lasso

@@ -12,10 +12,9 @@
 //     regardless of completions (a reader thread collects responses), so
 //     queueing and backpressure actually engage.
 //
-// Workload (same sources as speccc_batch, so outputs are comparable):
-//   --generate N --seed S   N difftest-generated specs (seed-derived,
-//                           identical to `speccc_batch --generate N --seed S`)
-//   --corpus NAME           cara | tele | robot | table1
+// Workload: --generate N, --seed S and --corpus NAME, read as speccc_batch
+// reads them (the shared flag table of docs/TOOLS.md), so outputs are
+// comparable; and
 //   --requests M            total requests (default: workload size; larger
 //                           cycles the workload round-robin)
 //
@@ -49,10 +48,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -60,13 +57,11 @@
 #include <vector>
 
 #include "batch/batch.hpp"
-#include "batch/corpus_tasks.hpp"
-#include "core/substrate.hpp"
-#include "difftest/harness.hpp"
+#include "cli.hpp"
 #include "serve/net.hpp"
+#include "util/args.hpp"
 #include "util/diagnostics.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -286,7 +281,7 @@ int main(int argc, char** argv) {
   std::string port_file;
   int generate_count = 0;
   std::uint64_t seed = 1;
-  std::string corpus_name;
+  std::vector<batch::SpecTask> workload;
   std::size_t requests = 0;
   int connections = 1;
   double rate = 0.0;
@@ -298,50 +293,33 @@ int main(int argc, char** argv) {
   std::string canonical_out;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next_arg = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        std::exit(usage());
-      }
-      return argv[++i];
-    };
-    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
-    const auto next_number = [&]<typename T>(
-                                 T min, T max = std::numeric_limits<T>::max()) {
-      const std::string text = next_arg();
-      if (const auto value = util::parse_number(text, min, max)) return *value;
-      std::cerr << arg << ": bad value \"" << text << "\"\n";
-      std::exit(usage());
-    };
-    if (arg == "--port") port = next_number(0, 65535);
-    else if (arg == "--port-file") port_file = next_arg();
-    else if (arg == "--generate") generate_count = next_number(0);
-    else if (arg == "--seed") seed = next_number(std::uint64_t{0});
-    else if (arg == "--corpus") corpus_name = next_arg();
-    else if (arg == "--requests") requests = next_number(std::size_t{0});
-    else if (arg == "--connections") connections = next_number(1);
-    else if (arg == "--rate") rate = next_number(0.0);
-    else if (arg == "--duration") duration_seconds = next_number(0.0);
-    else if (arg == "--deadline-ms") deadline_ms = next_number(0.0);
-    else if (arg == "--deadline-fraction") {
-      deadline_fraction = next_number(0.0, 1.0);
-    } else if (arg == "--priority-spread") priority_spread = next_number(1);
-    else if (arg == "--substrate") {
-      substrate_spec = next_arg();
-      try {
-        (void)core::SubstrateSpec::parse(substrate_spec);
-      } catch (const util::InvalidInputError& e) {
-        std::cerr << "invalid --substrate: " << e.what() << "\n";
-        return usage();
-      }
-    } else if (arg == "--canonical-out") canonical_out = next_arg();
-    else if (arg == "--quiet") quiet = true;
-    else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return usage();
+  try {
+    util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--port") port = args.number(0, 65535);
+      else if (arg == "--port-file") port_file = args.next();
+      else if (arg == "--generate") generate_count = args.number(0);
+      else if (arg == "--seed") seed = args.number(std::uint64_t{0});
+      else if (arg == "--corpus") workload = cli::corpus_tasks(args.next());
+      else if (arg == "--requests") requests = args.number(std::size_t{0});
+      else if (arg == "--connections") connections = args.number(1);
+      else if (arg == "--rate") rate = args.number(0.0);
+      else if (arg == "--duration") duration_seconds = args.number(0.0);
+      else if (arg == "--deadline-ms") deadline_ms = args.number(0.0);
+      else if (arg == "--deadline-fraction") {
+        deadline_fraction = args.number(0.0, 1.0);
+      } else if (arg == "--priority-spread") priority_spread = args.number(1);
+      else if (arg == "--substrate") {
+        substrate_spec = args.next();
+        (void)cli::substrate(substrate_spec);
+      } else if (arg == "--canonical-out") canonical_out = args.next();
+      else if (arg == "--quiet") quiet = true;
+      else throw util::UsageError("unknown option: " + arg);
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   }
 
   if (!port_file.empty()) {
@@ -356,22 +334,11 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  // Build the workload, in the same order speccc_batch would check it.
-  std::vector<batch::SpecTask> workload;
+  // The workload, in the same order speccc_batch would check it: the
+  // corpus, then the generated specs.
   try {
-    if (!corpus_name.empty()) {
-      if (corpus_name == "cara") workload = batch::cara_tasks();
-      else if (corpus_name == "tele") workload = batch::telepromise_tasks();
-      else if (corpus_name == "robot") workload = batch::robot_tasks();
-      else if (corpus_name == "table1") workload = batch::table1_tasks();
-      else {
-        std::cerr << "unknown corpus: " << corpus_name << "\n";
-        return usage();
-      }
-    }
-    for (int index = 0; index < generate_count; ++index) {
-      auto spec = difftest::generated_spec(seed, index);
-      workload.push_back({std::move(spec.name), std::move(spec.requirements)});
+    for (batch::SpecTask& task : cli::generated_tasks(seed, generate_count)) {
+      workload.push_back(std::move(task));
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -37,15 +37,11 @@
 //                         startup failure with a structured diagnostic,
 //                         never a silent cold start. Incompatible with
 //                         --no-cache
-//   --substrate SPEC      default decision substrate for every request:
-//                         "auto" (default), a substrate name (tableau |
-//                         bounded | symbolic), or "race:a,b,...".
-//                         Per-request "substrate" fields override it.
-//                         An unparseable SPEC is rejected at startup
-//   --strict-next         translate "next" as a real X operator
-//   --diagnose            enumerate minimal correction sets (up to 4) for
-//                         inconsistent specs, like speccc_batch --diagnose
-//   --max-correction-sets N   cap the enumeration (implies --diagnose)
+//   --substrate, --strict-next, --diagnose, --max-correction-sets
+//                         the pipeline flags of the shared flag table in
+//                         docs/TOOLS.md. --substrate sets the default for
+//                         every request; a per-request "substrate" field
+//                         overrides it
 //   --quiet               suppress the startup/shutdown notices on stderr
 //
 // Shutdown: SIGINT or SIGTERM (or a {"method":"shutdown"} request) stops
@@ -55,10 +51,8 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -69,15 +63,12 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include "cache/snapshot.hpp"
 #include "cache/store.hpp"
-#include "core/substrate.hpp"
-#include "nlp/lexicon.hpp"
+#include "cli.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
-#include "util/diagnostics.hpp"
-#include "util/strings.hpp"
+#include "util/args.hpp"
 
 namespace {
 
@@ -189,84 +180,45 @@ int main(int argc, char** argv) {
   bool quiet = false;
   std::size_t cache_max = cache::StoreOptions{}.max_entries;
   cache::Eviction eviction = cache::Eviction::kLru;
-  std::string snapshot_in;
-  std::string snapshot_out;
+  cli::SnapshotPair snapshot;
   bool use_snapshot = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next_arg = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        std::exit(usage());
+  try {
+    util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--port") {
+        port = args.number(0, 65535);
+      } else if (arg == "--port-file") {
+        port_file = args.next();
+      } else if (arg == "--workers") {
+        options.workers = args.number(1);
+      } else if (arg == "--queue-max") {
+        options.queue_capacity = args.number(std::size_t{1});
+      } else if (arg == "--default-deadline-ms") {
+        options.default_deadline_seconds =
+            args.number(0.0, serve::kMaxDeadlineMs) / 1000.0;
+      } else if (arg == "--no-cache") {
+        use_cache = false;
+      } else if (arg == "--cache-max") {
+        cache_max = args.number(std::size_t{1});
+      } else if (arg == "--cache-snapshot") {
+        snapshot = cli::snapshot_pair(args.next());
+        use_snapshot = true;
+      } else if (arg == "--eviction") {
+        const std::string which = args.next();
+        if (which == "fifo") eviction = cache::Eviction::kFifo;
+        else if (which == "lru") eviction = cache::Eviction::kLru;
+        else throw util::UsageError("unknown eviction policy: " + which);
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (!cli::pipeline_flag(args, options.pipeline)) {
+        throw util::UsageError("unknown option: " + arg);
       }
-      return argv[++i];
-    };
-    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
-    const auto next_number = [&]<typename T>(
-                                 T min, T max = std::numeric_limits<T>::max()) {
-      const std::string text = next_arg();
-      if (const auto value = util::parse_number(text, min, max)) return *value;
-      std::cerr << arg << ": bad value \"" << text << "\"\n";
-      std::exit(usage());
-    };
-    if (arg == "--port") {
-      port = next_number(0, 65535);
-    } else if (arg == "--port-file") {
-      port_file = next_arg();
-    } else if (arg == "--workers") {
-      options.workers = next_number(1);
-    } else if (arg == "--queue-max") {
-      options.queue_capacity = next_number(std::size_t{1});
-    } else if (arg == "--default-deadline-ms") {
-      options.default_deadline_seconds =
-          next_number(0.0, serve::kMaxDeadlineMs) / 1000.0;
-    } else if (arg == "--no-cache") {
-      use_cache = false;
-    } else if (arg == "--cache-max") {
-      cache_max = next_number(std::size_t{1});
-    } else if (arg == "--cache-snapshot") {
-      const std::string spec = next_arg();
-      const auto comma = spec.find(',');
-      if (comma == std::string::npos) {
-        std::cerr << "--cache-snapshot needs IN,OUT (either side may be "
-                     "empty)\n";
-        return usage();
-      }
-      snapshot_in = spec.substr(0, comma);
-      snapshot_out = spec.substr(comma + 1);
-      use_snapshot = true;
-    } else if (arg == "--eviction") {
-      const std::string which = next_arg();
-      if (which == "fifo") eviction = cache::Eviction::kFifo;
-      else if (which == "lru") eviction = cache::Eviction::kLru;
-      else {
-        std::cerr << "unknown eviction policy: " << which << "\n";
-        return usage();
-      }
-    } else if (arg == "--substrate") {
-      const std::string spec = next_arg();
-      try {
-        options.pipeline.substrate = core::SubstrateSpec::parse(spec);
-      } catch (const util::InvalidInputError& e) {
-        std::cerr << "invalid --substrate: " << e.what() << "\n";
-        return usage();
-      }
-    } else if (arg == "--strict-next") {
-      options.pipeline.translation.next_mode = translate::NextMode::kStrict;
-    } else if (arg == "--diagnose") {
-      if (options.pipeline.localization.max_correction_sets == 0) {
-        options.pipeline.localization.max_correction_sets = 4;
-      }
-    } else if (arg == "--max-correction-sets") {
-      options.pipeline.localization.max_correction_sets =
-          next_number(std::size_t{1});
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return usage();
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   }
 
   if (use_snapshot && !use_cache) {
@@ -282,22 +234,9 @@ int main(int argc, char** argv) {
     store = std::make_shared<cache::Store>(store_options);
     options.pipeline.cache = store;
   }
-  if (use_snapshot && !snapshot_in.empty()) {
-    try {
-      const cache::SnapshotMeta meta = cache::load_snapshot(
-          *store, snapshot_in, nlp::Lexicon::builtin().fingerprint());
-      if (!quiet) {
-        std::cerr << "speccc_serve: cache snapshot " << snapshot_in << ": "
-                  << meta.entries << " entries loaded\n";
-      }
-    } catch (const cache::SnapshotError& e) {
-      // A requested warm start that cannot be honored is a startup
-      // failure, never a silent cold start.
-      std::cerr << "error: cache snapshot rejected ("
-                << cache::snapshot_error_kind_name(e.kind()) << "): "
-                << e.what() << "\n";
-      return 1;
-    }
+  if (use_snapshot && !snapshot.in.empty() &&
+      !cli::load_snapshot(*store, snapshot.in, "speccc_serve: ", quiet)) {
+    return 1;
   }
 
   if (::pipe(g_wake_pipe) != 0) {
@@ -371,19 +310,9 @@ int main(int argc, char** argv) {
   service.shutdown();
   // The drain is complete: the store is quiescent, so the snapshot is a
   // consistent post-run image.
-  if (use_snapshot && !snapshot_out.empty()) {
-    try {
-      cache::save_snapshot(*store, snapshot_out, nlp::Lexicon::builtin().fingerprint());
-      if (!quiet) {
-        std::cerr << "speccc_serve: cache snapshot written to " << snapshot_out
-                  << "\n";
-      }
-    } catch (const cache::SnapshotError& e) {
-      std::cerr << "error: cannot write cache snapshot ("
-                << cache::snapshot_error_kind_name(e.kind()) << "): "
-                << e.what() << "\n";
-      return 1;
-    }
+  if (use_snapshot && !snapshot.out.empty() &&
+      !cli::save_snapshot(*store, snapshot.out, "speccc_serve: ", quiet)) {
+    return 1;
   }
   if (!quiet) {
     const serve::ServiceStats stats = service.stats();

@@ -10,13 +10,15 @@
 // statistics; a shard that exhausts its retries is a structured per-shard
 // error and exit code 3.
 //
-//   $ ./speccc_shard --corpus table1 --shards 4
+//   $ ./speccc_shard path/to/specs/ --shards 4
 //   $ ./speccc_shard path/to/specs/ --shards 8 --jobs-per-shard 2 --cache
-//   $ ./speccc_shard --corpus table1 --cache-snapshot warm.snap,warm.snap
+//   $ ./speccc_shard path/to/specs/ --cache-snapshot warm.snap,warm.snap
 //
-// Inputs: exactly speccc_batch's (FILE | DIR, --manifest, --corpus,
-// --generate/--seed) -- they are handed to every worker verbatim, and the
-// worker selects its shard with --shard-index/--shard-count.
+// Inputs and check flags: exactly speccc_batch's, the shared flag table
+// of docs/TOOLS.md. The coordinator parses each one with batch's own
+// parser, so a bad value is a usage error before any worker starts; it
+// then hands the tokens to every worker verbatim, and the worker selects
+// its shard with --shard-index/--shard-count.
 //
 // Coordinator options:
 //   --shards K           worker subprocesses (default 2)
@@ -42,43 +44,27 @@
 //                        human summary
 //   --quiet              suppress the per-shard progress notes
 //
-// Worker passthrough (forwarded verbatim): --cache, --cache-max,
-// --time-budget, --substrate, --crosscheck, --diagnose,
-// --max-correction-sets, --strict-next, --timeabs, --smt-encoder.
-//
 // Exit code (speccc_batch-compatible): 0 all consistent; 2 some spec
 // inconsistent; 3 errors, shard failures, budget exhaustion, cancellation,
 // or substrate disagreement; 1 usage.
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "cli.hpp"
 #include "shard/coordinator.hpp"
+#include "util/args.hpp"
 #include "util/diagnostics.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
 int usage() {
-  std::cerr
-      << "usage: speccc_shard [FILE|DIR ...] [--manifest FILE]\n"
-         "                    [--corpus cara|tele|robot|table1]\n"
-         "                    [--generate N] [--seed S]\n"
-         "                    [--shards K] [--jobs-per-shard N]\n"
-         "                    [--retries N] [--worker-timeout S]\n"
-         "                    [--worker CMD] [--scratch DIR]\n"
-         "                    [--json FILE] [--canonical] [--quiet]\n"
-         "                    [--cache] [--cache-max N]\n"
-         "                    [--cache-snapshot IN,OUT]\n"
-         "                    [--time-budget S]\n"
-         "                    [--substrate auto|NAME|race:a,b,...]\n"
-         "                    [--crosscheck] [--diagnose]\n"
-         "                    [--max-correction-sets N] [--strict-next]\n"
-         "                    [--timeabs enum|smt] [--smt-encoder mapped|tseitin]\n";
+  std::cerr << "usage: speccc_shard [--shards K] [--jobs-per-shard N]\n"
+               "                    [--retries N] [--worker-timeout S]\n"
+               "                    [--worker CMD] [--scratch DIR]\n"
+               "                    [--json FILE] [--canonical] [--quiet]\n"
+               "                    [--cache-snapshot IN,OUT]\n"
+            << speccc::cli::kCheckUsage;
   return 1;
 }
 
@@ -92,80 +78,52 @@ int main(int argc, char** argv) {
   bool canonical_output = false;
   bool quiet = false;
   bool want_cache = false;
+  // What the forwarded flags select; parsed only to reject bad values here.
+  cli::CheckArgs forwarded;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next_arg = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs an argument\n";
-        std::exit(usage());
+  try {
+    util::Args args(argc, argv);
+    while (args.advance()) {
+      const std::string& arg = args.flag();
+      if (arg == "--shards") {
+        options.shards = args.number(std::size_t{1});
+      } else if (arg == "--jobs-per-shard") {
+        options.jobs_per_shard = args.number(1);
+      } else if (arg == "--retries") {
+        options.retries = args.number(0);
+      } else if (arg == "--worker-timeout") {
+        options.worker_timeout_seconds = args.number(0.0);
+      } else if (arg == "--worker") {
+        options.worker_command = {args.next()};
+      } else if (arg == "--scratch") {
+        options.scratch_dir = args.next();
+        options.keep_scratch = true;
+      } else if (arg == "--cache-snapshot") {
+        cli::SnapshotPair snapshot = cli::snapshot_pair(args.next());
+        options.snapshot_in = std::move(snapshot.in);
+        options.snapshot_out = std::move(snapshot.out);
+        want_cache = true;
+      } else if (arg == "--json") {
+        json_path = args.next();
+      } else if (arg == "--canonical") {
+        canonical_output = true;
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (cli::check_flag(args, forwarded)) {
+        const auto taken = args.taken();
+        options.worker_args.insert(options.worker_args.end(), taken.begin(),
+                                   taken.end());
+      } else {
+        throw util::UsageError("unknown option: " + arg);
       }
-      return argv[++i];
-    };
-    // The next argument, whole, as a number in [min, max] ("2x" is not 2).
-    const auto next_number = [&]<typename T>(
-                                 T min, T max = std::numeric_limits<T>::max()) {
-      const std::string text = next_arg();
-      if (const auto value = util::parse_number(text, min, max)) return *value;
-      std::cerr << arg << ": bad value \"" << text << "\"\n";
-      std::exit(usage());
-    };
-    if (arg == "--shards") {
-      options.shards = next_number(std::size_t{1});
-    } else if (arg == "--jobs-per-shard") {
-      options.jobs_per_shard = next_number(1);
-    } else if (arg == "--retries") {
-      options.retries = next_number(0);
-    } else if (arg == "--worker-timeout") {
-      options.worker_timeout_seconds = next_number(0.0);
-    } else if (arg == "--worker") {
-      options.worker_command = {next_arg()};
-    } else if (arg == "--scratch") {
-      options.scratch_dir = next_arg();
-      options.keep_scratch = true;
-    } else if (arg == "--cache-snapshot") {
-      const std::string spec = next_arg();
-      const auto comma = spec.find(',');
-      if (comma == std::string::npos) {
-        std::cerr << "--cache-snapshot needs IN,OUT (either side may be "
-                     "empty)\n";
-        return usage();
-      }
-      options.snapshot_in = spec.substr(0, comma);
-      options.snapshot_out = spec.substr(comma + 1);
-      want_cache = true;
-    } else if (arg == "--json") {
-      json_path = next_arg();
-    } else if (arg == "--canonical") {
-      canonical_output = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--cache" || arg == "--crosscheck" ||
-               arg == "--diagnose" || arg == "--strict-next") {
-      if (arg == "--cache") want_cache = true;
-      options.worker_args.push_back(arg);
-    } else if (arg == "--cache-max" || arg == "--time-budget" ||
-               arg == "--substrate" || arg == "--max-correction-sets" ||
-               arg == "--timeabs" || arg == "--smt-encoder" ||
-               arg == "--manifest" || arg == "--corpus" ||
-               arg == "--generate" || arg == "--seed") {
-      // Valued passthrough / input options: forward the pair verbatim.
-      options.worker_args.push_back(arg);
-      options.worker_args.push_back(next_arg());
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option: " << arg << "\n";
-      return usage();
-    } else {
-      options.worker_args.push_back(arg);  // FILE | DIR input
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << e.what() << "\n";
+    return usage();
   }
   // --cache-snapshot implies --cache in the workers (a snapshot of a
   // store that never existed would always be empty).
-  if (want_cache &&
-      std::find(options.worker_args.begin(), options.worker_args.end(),
-                "--cache") == options.worker_args.end()) {
-    options.worker_args.push_back("--cache");
-  }
+  if (want_cache && !forwarded.cache) options.worker_args.push_back("--cache");
 
   if (options.worker_args.empty()) {
     std::cerr << "no specifications to check\n";
@@ -190,18 +148,9 @@ int main(int argc, char** argv) {
   } else {
     shard::print_summary(text_out, report);
   }
-  if (!json_path.empty()) {
-    if (json_path == "-") {
-      std::cout << shard::to_json(report);
-    } else {
-      std::ofstream out(json_path);
-      if (!out) {
-        std::cerr << "cannot write " << json_path << "\n";
-        return 1;
-      }
-      out << shard::to_json(report);
-      if (!quiet) std::cerr << "JSON report written to " << json_path << "\n";
-    }
+  if (!json_path.empty() &&
+      !cli::write_json(json_path, shard::to_json(report), quiet)) {
+    return 1;
   }
   return report.exit_code();
 }
