@@ -1,8 +1,7 @@
 // Diagnosis cost study: MUS extraction time vs. specification size on
 // generated multi-fault corpora (the planted-fault generator of
-// difftest/random.hpp), the cores path against the legacy greedy
-// localization it replaced, MCS enumeration, and the pure-SAT group MUS
-// path whose incremental assumption cores make the shrinker cheap.
+// difftest/random.hpp), MCS enumeration, and the pure-SAT group MUS path
+// whose incremental assumption cores make the shrinker cheap.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -31,22 +30,15 @@ difftest::FaultConfig sized_config(int base_formulas) {
   return config;
 }
 
-refine::LocalizeOptions method(refine::LocalizeOptions::Method m) {
-  refine::LocalizeOptions options;
-  options.method = m;
-  return options;
-}
-
 /// One planted multi-fault spec per base size, generated once: the
 /// benchmark measures localization, not generation or translation.
 void BM_MusBySpecSize(benchmark::State& state) {
   const auto spec = difftest::generated_planted_spec(
       kSeed, 0, sized_config(static_cast<int>(state.range(0))));
   const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-  const auto cores = method(refine::LocalizeOptions::Method::kCores);
   std::size_t checks = 0;
   for (auto _ : state) {
-    const auto loc = refine::localize(sc.requirements, sc.signature, {}, cores);
+    const auto loc = refine::localize(sc.requirements, sc.signature);
     benchmark::DoNotOptimize(loc.core.data());
     checks = loc.checks;
   }
@@ -54,29 +46,6 @@ void BM_MusBySpecSize(benchmark::State& state) {
   state.counters["realizability_checks"] = static_cast<double>(checks);
 }
 BENCHMARK(BM_MusBySpecSize)
-    ->RangeMultiplier(2)
-    ->Range(4, 16)
-    ->Unit(benchmark::kMillisecond);
-
-/// The legacy greedy growth-and-shrink on the same corpora. Greedy stops
-/// growing at the first conflict, so its cost tracks the position of the
-/// earliest fault (cf. bench_refine's by-position study) while the
-/// deletion path pays ~1 check per requirement wherever the fault sits.
-void BM_MusGreedyBySpecSize(benchmark::State& state) {
-  const auto spec = difftest::generated_planted_spec(
-      kSeed, 0, sized_config(static_cast<int>(state.range(0))));
-  const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-  const auto greedy = method(refine::LocalizeOptions::Method::kGreedy);
-  std::size_t checks = 0;
-  for (auto _ : state) {
-    const auto loc =
-        refine::localize(sc.requirements, sc.signature, {}, greedy);
-    benchmark::DoNotOptimize(loc.core.data());
-    checks = loc.checks;
-  }
-  state.counters["realizability_checks"] = static_cast<double>(checks);
-}
-BENCHMARK(BM_MusGreedyBySpecSize)
     ->RangeMultiplier(2)
     ->Range(4, 16)
     ->Unit(benchmark::kMillisecond);
@@ -160,24 +129,14 @@ void print_summary() {
     const auto spec =
         difftest::generated_planted_spec(kSeed, 0, sized_config(base));
     const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-    const auto cores_loc = refine::localize(
-        sc.requirements, sc.signature, {},
-        method(refine::LocalizeOptions::Method::kCores));
-    const auto greedy_loc = refine::localize(
-        sc.requirements, sc.signature, {},
-        method(refine::LocalizeOptions::Method::kGreedy));
+    const auto loc = refine::localize(sc.requirements, sc.signature);
     std::cout << "  " << sc.requirements.size() << " requirements, "
-              << spec.faults.size() << " planted faults: cores "
-              << cores_loc.checks << " checks (|MUS| "
-              << cores_loc.core.size() << "), greedy " << greedy_loc.checks
-              << " checks (|core| " << greedy_loc.core.size() << ")\n";
+              << spec.faults.size() << " planted faults: " << loc.checks
+              << " checks (|MUS| " << loc.core.size() << ")\n";
   }
   std::cout << "  (deletion is position-independent -- about one check per "
                "requirement plus\n   two per MUS element -- and guarantees a "
-               "minimal subset; greedy's cost\n   tracks the position of the "
-               "earliest conflict, so it wins on documents\n   whose fault "
-               "sits early and loses linearly when it sits late, cf.\n   "
-               "bench_refine's by-position study.)\n";
+               "minimal subset.)\n";
 }
 
 }  // namespace

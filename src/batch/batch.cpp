@@ -95,26 +95,31 @@ class StealingQueues {
   std::vector<Queue> queues_;
 };
 
+/// Caps for the agreement pass's bounded run, the difftest oracle's
+/// give-up caps: the pipeline's own unbounded defaults would let one
+/// adversarial spec stall the whole batch.
+const synth::BoundedOptions kAgreementBounded = {.max_k = 4,
+                                                 .extract = false,
+                                                 .max_game_positions = 20'000,
+                                                 .max_ucw_states = 150,
+                                                 .cancelled = {}};
+
 /// Opposite-definite-verdict cross-check of one already-translated spec:
 /// every registered substrate re-decides it independently (the batch
 /// counterpart of the difftest oracle). Inapplicable substrates --
 /// symbolic outside its fragment, bounded beyond the alphabet cap --
 /// abstain with kUnknown, which never counts as disagreement.
-AgreementStats check_substrates(const core::PipelineResult& pipeline_result,
-                                const synth::BoundedOptions& bounded_options) {
+AgreementStats check_substrates(const core::PipelineResult& pipeline_result) {
   AgreementStats stats;
   stats.checked = true;
 
   const std::vector<ltl::Formula> formulas =
       pipeline_result.translation.formulas();
-  synth::IoSignature signature;
-  signature.inputs.assign(pipeline_result.partition.inputs.begin(),
-                          pipeline_result.partition.inputs.end());
-  signature.outputs.assign(pipeline_result.partition.outputs.begin(),
-                           pipeline_result.partition.outputs.end());
+  const synth::IoSignature signature =
+      partition::signature(pipeline_result.partition);
 
   synth::SynthesisOptions options;
-  options.bounded = bounded_options;
+  options.bounded = kAgreementBounded;
 
   const core::SubstrateRegistry& registry = core::SubstrateRegistry::global();
   for (const std::string& name : registry.names()) {
@@ -214,8 +219,7 @@ TaskResult TaskRunner::run(const SpecTask& task, const RunLimits& limits) {
     result.substrate = pipeline_result.synthesis.substrate_used;
     result.portfolio = pipeline_result.portfolio;
     if (impl_->options.check_agreement) {
-      result.agreement =
-          check_substrates(pipeline_result, impl_->options.agreement_bounded);
+      result.agreement = check_substrates(pipeline_result);
     }
   } catch (const util::CancelledError& e) {
     result.status = budget.externally_cancelled() ? TaskStatus::kCancelled
@@ -265,7 +269,6 @@ BatchReport check(const std::vector<SpecTask>& tasks,
   RunnerOptions runner_options;
   runner_options.pipeline = options.pipeline;
   runner_options.check_agreement = options.check_agreement;
-  runner_options.agreement_bounded = options.agreement_bounded;
   RunLimits limits;
   limits.budget_seconds = options.task_time_budget_seconds;
   limits.cancel = options.cancel;

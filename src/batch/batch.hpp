@@ -157,15 +157,9 @@ struct RunnerOptions {
   /// the runner (it carries the budget/cancel polling); cache, when set,
   /// may be shared across runners (the store is thread-safe).
   core::PipelineOptions pipeline;
-  /// Re-decide every spec with both synthesis engines and record
+  /// Re-decide every spec with every registered substrate and record
   /// agreement (see BatchOptions::check_agreement).
   bool check_agreement = false;
-  /// Caps for the agreement pass's bounded run.
-  synth::BoundedOptions agreement_bounded = {.max_k = 4,
-                                             .extract = false,
-                                             .max_game_positions = 20'000,
-                                             .max_ucw_states = 150,
-                                             .cancelled = {}};
 };
 
 /// Per-run limits (see core::RunLimits, defined next to the substrate
@@ -214,21 +208,13 @@ struct BatchOptions {
   /// at their next poll (see task_time_budget_seconds); queued tasks are
   /// marked kCancelled without running.
   const std::atomic<bool>* cancel = nullptr;
-  /// Re-decide every spec with both synthesis engines and record
-  /// agreement (roughly doubles the cost; the bounded engine gives up as
-  /// kUnknown beyond its caps, which never counts as disagreement). The
-  /// agreement pass always runs the engines directly -- it is never
-  /// answered from pipeline.cache, so a cached batch still cross-checks
-  /// for real.
+  /// Re-decide every spec with every registered substrate and record
+  /// agreement (multiplies the cost; the bounded substrate runs under
+  /// fixed give-up caps and answers kUnknown beyond them, which never
+  /// counts as disagreement). The agreement pass always runs the
+  /// substrates directly -- it is never answered from pipeline.cache, so a
+  /// cached batch still cross-checks for real.
   bool check_agreement = false;
-  /// Caps for the agreement pass's bounded run. Defaults mirror the
-  /// difftest oracle's give-up caps -- the pipeline's own unbounded
-  /// defaults would let one adversarial spec stall the whole batch.
-  synth::BoundedOptions agreement_bounded = {.max_k = 4,
-                                             .extract = false,
-                                             .max_game_positions = 20'000,
-                                             .max_ucw_states = 150,
-                                             .cancelled = {}};
   /// Completion callback, invoked under the scheduler lock in completion
   /// order (not input order). Keep it cheap; it may run on any worker.
   std::function<void(const TaskResult&)> on_result;

@@ -403,7 +403,7 @@ util::Digest refinement_key(const std::vector<ltl::Formula>& formulas,
   fold_formulas(builder, formulas);
   fold_signature(builder, signature);
   fold_options(builder, options);
-  builder.u64(static_cast<std::uint64_t>(localize_options.method));
+  builder.u64(0);  // removed localizer selector's slot: keeps old keys valid
   builder.u64(localize_options.max_correction_sets);
   return builder.finalize();
 }

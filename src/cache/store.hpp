@@ -270,8 +270,8 @@ class Store {
 
 /// Level 2: stage-3 refinement (formulas, initial partition via the
 /// signature it induces, synthesis options, localization options -- the
-/// cached outcome embeds the MUS and correction sets, which depend on the
-/// method and enumeration cap).
+/// cached outcome embeds the correction sets, which depend on the
+/// enumeration cap).
 [[nodiscard]] util::Digest refinement_key(
     const std::vector<ltl::Formula>& formulas,
     const synth::IoSignature& signature,

@@ -108,11 +108,7 @@ PipelineResult Pipeline::run(
 
   // ---- Stage 2: realizability -------------------------------------------------
   poll_cancel("synthesis");
-  synth::IoSignature signature;
-  signature.inputs.assign(result.partition.inputs.begin(),
-                          result.partition.inputs.end());
-  signature.outputs.assign(result.partition.outputs.begin(),
-                           result.partition.outputs.end());
+  const synth::IoSignature signature = partition::signature(result.partition);
 
   // The per-run override beats the configured spec.
   const SubstrateSpec& effective =

@@ -45,9 +45,8 @@ struct PipelineOptions {
   partition::Overrides partition_overrides;
   /// Stage 3: run localization + partition adjustment when unrealizable.
   bool refine_on_failure = true;
-  /// Stage-3 localization knobs: MUS method (diag cores vs. the legacy
-  /// greedy path) and how many minimal correction sets to enumerate for
-  /// genuinely inconsistent specifications.
+  /// Stage-3 localization knob: how many minimal correction sets to
+  /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
   /// Flag individually unsatisfiable requirements (tableau emptiness). The
   /// screen runs after stages 2/3 and only when the specification ends up

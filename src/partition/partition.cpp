@@ -81,4 +81,11 @@ Partition unify(const std::vector<Formula>& requirements,
   return partition;
 }
 
+synth::IoSignature signature(const Partition& partition) {
+  synth::IoSignature sig;
+  sig.inputs.assign(partition.inputs.begin(), partition.inputs.end());
+  sig.outputs.assign(partition.outputs.begin(), partition.outputs.end());
+  return sig;
+}
+
 }  // namespace speccc::partition

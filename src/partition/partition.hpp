@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "ltl/formula.hpp"
+#include "synth/mealy.hpp"
 
 namespace speccc::partition {
 
@@ -30,6 +31,10 @@ struct Partition {
     return inputs.count(name) > 0;
   }
 };
+
+/// The partition as the synthesis engines' I/O signature: both name lists
+/// in sorted order.
+[[nodiscard]] synth::IoSignature signature(const Partition& partition);
 
 /// Per-requirement classification votes.
 struct Votes {

@@ -2,109 +2,31 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "diag/diag.hpp"
 #include "util/diagnostics.hpp"
 
 namespace speccc::refine {
 
-namespace {
-
 using ltl::Formula;
-
-synth::IoSignature signature_from(const partition::Partition& partition) {
-  synth::IoSignature sig;
-  sig.inputs.assign(partition.inputs.begin(), partition.inputs.end());
-  sig.outputs.assign(partition.outputs.begin(), partition.outputs.end());
-  return sig;
-}
-
-bool realizable(const std::vector<Formula>& formulas,
-                const synth::IoSignature& signature,
-                const synth::SynthesisOptions& options, std::size_t& checks) {
-  ++checks;
-  const auto result = synth::synthesize(formulas, signature, options);
-  return result.verdict == synth::Realizability::kRealizable;
-}
-
-/// The legacy localization: incremental subset growth (add requirements
-/// until the subset turns unrealizable -- the last added formula belongs
-/// to the core) followed by greedy shrinking. Kept as the difftest
-/// cross-check reference for the diag MUS engine.
-std::vector<std::size_t> greedy_core(const std::vector<Formula>& requirements,
-                                     const synth::IoSignature& signature,
-                                     const synth::SynthesisOptions& options,
-                                     std::size_t& checks) {
-  std::vector<Formula> subset;
-  std::vector<std::size_t> subset_indices;
-  std::size_t breaker = requirements.size();
-  for (std::size_t i = 0; i < requirements.size(); ++i) {
-    subset.push_back(requirements[i]);
-    subset_indices.push_back(i);
-    if (!realizable(subset, signature, options, checks)) {
-      breaker = i;
-      break;
-    }
-  }
-  speccc_check(breaker < requirements.size(),
-               "localize precondition: full specification must be unrealizable");
-
-  // Greedy shrink: drop earlier formulas while the subset stays
-  // unrealizable. The breaker always stays.
-  std::vector<std::size_t> core = subset_indices;
-  for (std::size_t drop = 0; drop < core.size();) {
-    if (core[drop] == breaker) {
-      ++drop;
-      continue;
-    }
-    std::vector<Formula> trial;
-    for (std::size_t k = 0; k < core.size(); ++k) {
-      if (k != drop) trial.push_back(requirements[core[k]]);
-    }
-    if (!realizable(trial, signature, options, checks)) {
-      core.erase(core.begin() + static_cast<std::ptrdiff_t>(drop));
-    } else {
-      ++drop;
-    }
-  }
-  return core;
-}
-
-}  // namespace
 
 Localization localize(const std::vector<Formula>& requirements,
                       const synth::IoSignature& signature,
-                      const synth::SynthesisOptions& options,
-                      const LocalizeOptions& localize_options) {
+                      const synth::SynthesisOptions& options) {
+  const diag::Diagnosis diagnosis = diag::diagnose(
+      requirements.size(),
+      diag::synthesis_oracle(requirements, signature, options),
+      {.max_correction_sets = 0});
+  speccc_check(!diagnosis.consistent(),
+               "localize precondition: full specification must be unrealizable");
   Localization out;
-
-  if (localize_options.method == LocalizeOptions::Method::kGreedy) {
-    out.core = greedy_core(requirements, signature, options, out.checks);
-  } else {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
-    ++out.checks;
-    const auto full = oracle(universe);
-    speccc_check(full.has_value(),
-                 "localize precondition: full specification must be unrealizable");
-    out.core = diag::shrink_mus(*full, oracle, out.checks);
-  }
-
-  if (localize_options.max_correction_sets > 0) {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
-    out.correction_sets = diag::correction_sets(
-        universe, oracle, localize_options.max_correction_sets, out.checks);
-  }
+  out.core = diagnosis.mus;
+  out.checks = diagnosis.checks;
 
   // Filtering step: requirements sharing propositions with the core.
-  const std::vector<std::size_t>& core = out.core;
   std::set<std::string> core_props;
-  for (std::size_t i : core) {
+  for (std::size_t i : out.core) {
     const auto atoms = requirements[i].atoms();
     core_props.insert(atoms.begin(), atoms.end());
   }
@@ -123,20 +45,26 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
                          const partition::Partition& initial,
                          const synth::SynthesisOptions& options,
                          const LocalizeOptions& localize_options) {
+  // The oracle reads an empty subset as consistent; an empty specification
+  // is still not something to synthesize from.
+  if (requirements.empty()) {
+    throw util::InvalidInputError("cannot synthesize from an empty specification");
+  }
   RefinementOutcome outcome;
   outcome.partition = initial;
 
-  const synth::IoSignature signature = signature_from(initial);
-  if (realizable(requirements, signature, options, outcome.checks)) {
+  std::vector<std::size_t> universe(requirements.size());
+  std::iota(universe.begin(), universe.end(), std::size_t{0});
+  const synth::IoSignature signature = partition::signature(initial);
+  const diag::CoreOracle oracle =
+      diag::synthesis_oracle(requirements, signature, options);
+  ++outcome.checks;
+  if (!oracle(universe)) {
     outcome.consistent = true;
     return outcome;
   }
 
-  // Correction sets are deferred to the genuinely-inconsistent exit below:
-  // a spec a partition flip rescues never pays for the MaxSAT loop.
-  LocalizeOptions mus_only = localize_options;
-  mus_only.max_correction_sets = 0;
-  outcome.localization = localize(requirements, signature, options, mus_only);
+  outcome.localization = localize(requirements, signature, options);
   outcome.checks += outcome.localization.checks;
 
   // Candidate variables: propositions of the core, ranked by occurrence
@@ -172,8 +100,9 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
       flipped.inputs.insert(variable);
     }
     if (flipped.inputs.empty()) continue;  // a system needs some input
-    if (realizable(requirements, signature_from(flipped), options,
-                   outcome.checks)) {
+    ++outcome.checks;
+    if (!diag::synthesis_oracle(requirements, partition::signature(flipped),
+                                options)(universe)) {
       outcome.consistent = true;
       outcome.adjustment = Adjustment{variable, !was_input};
       outcome.partition = flipped;
@@ -185,12 +114,7 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
   // requirements themselves must be modified). Enumerate the minimal
   // correction sets now, so the diagnosis says which sentence removals
   // would restore consistency.
-  outcome.consistent = false;
   if (localize_options.max_correction_sets > 0) {
-    const diag::CoreOracle oracle =
-        diag::synthesis_oracle(requirements, signature, options);
-    std::vector<std::size_t> universe(requirements.size());
-    for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
     std::size_t checks = 0;
     outcome.localization.correction_sets = diag::correction_sets(
         universe, oracle, localize_options.max_correction_sets, checks);

@@ -7,10 +7,9 @@
 // diag engine enumerates minimal correction sets, the alternative sentence
 // removals that would restore consistency.
 //
-// Localization runs on the diag MUS engine by default (deletion-based
-// shrinking with core jumps); the original incremental-growth + greedy
-// shrink path survives behind LocalizeOptions::Method::kGreedy as the
-// difftest cross-check reference.
+// Every realizability question here -- the initial check, each partition
+// flip, the MUS shrink and the correction sets -- is one query to
+// diag::synthesis_oracle, the single stage-3 call into synth.
 #pragma once
 
 #include <optional>
@@ -25,15 +24,10 @@
 namespace speccc::refine {
 
 struct LocalizeOptions {
-  enum class Method {
-    kCores,   // diag::shrink_mus deletion over requirement selectors
-    kGreedy,  // legacy incremental growth + greedy shrink (cross-check path)
-  };
-  Method method = Method::kCores;
   /// Minimal correction sets to enumerate for genuinely inconsistent
-  /// specifications (0 disables the diag MaxSAT loop). localize() honors
-  /// this directly; refine() defers it until partition adjustment has
-  /// failed, so consistent-after-refinement specs never pay for it.
+  /// specifications (0 disables the diag MaxSAT loop). refine() defers
+  /// them until partition adjustment has failed, so
+  /// consistent-after-refinement specs never pay for them.
   std::size_t max_correction_sets = 0;
 };
 
@@ -42,7 +36,7 @@ struct Localization {
   std::vector<std::size_t> core;
   /// Minimal correction sets (diag::correction_sets order: smallest
   /// first): removing any one restores consistency. Empty unless
-  /// LocalizeOptions::max_correction_sets asked for them.
+  /// LocalizeOptions::max_correction_sets asked refine() for them.
   std::vector<std::vector<std::size_t>> correction_sets;
   /// Indices of requirements sharing propositions with the core (the
   /// paper's filtering step) -- includes the core itself.
@@ -51,13 +45,13 @@ struct Localization {
   std::size_t checks = 0;
 };
 
-/// Locate a minimal inconsistent core (paper V-B bullet 1), by the diag
-/// MUS engine or the legacy greedy path. Precondition: the full
-/// conjunction is unrealizable under `signature`.
+/// Locate a minimal inconsistent core (paper V-B bullet 1) by
+/// diag::diagnose over the synthesis oracle, then filter the related
+/// requirements. Precondition: the full conjunction is unrealizable under
+/// `signature`.
 [[nodiscard]] Localization localize(const std::vector<ltl::Formula>& requirements,
                                     const synth::IoSignature& signature,
-                                    const synth::SynthesisOptions& options = {},
-                                    const LocalizeOptions& localize_options = {});
+                                    const synth::SynthesisOptions& options = {});
 
 struct Adjustment {
   std::string variable;
@@ -76,9 +70,10 @@ struct RefinementOutcome {
 /// on the core/related propositions (paper V-B bullet 2). Candidates are
 /// ranked by how often they occur in the core and related requirements.
 /// When no flip helps and max_correction_sets > 0, the outcome's
-/// localization additionally carries the minimal correction sets. Every
-/// realizability check polls options.{symbolic,bounded}.cancelled; the
-/// resulting util::CancelledError propagates (nothing here catches it).
+/// localization additionally carries the minimal correction sets. Throws
+/// util::InvalidInputError on an empty specification. Every realizability
+/// check polls options.{symbolic,bounded}.cancelled; the resulting
+/// util::CancelledError propagates (nothing here catches it).
 [[nodiscard]] RefinementOutcome refine(const std::vector<ltl::Formula>& requirements,
                                        const partition::Partition& initial,
                                        const synth::SynthesisOptions& options = {},

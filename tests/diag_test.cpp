@@ -3,7 +3,8 @@
 // sat_group_oracle (incremental assumption cores, brute-force verified)
 // and synthesis_oracle (planted-fault specs where the ground-truth MUSes
 // are known by construction) -- plus pinned end-to-end pipeline diagnoses
-// of the hand-written multi-fault specs in examples/specs/faults/.
+// of the hand-written multi-fault specs in examples/specs/faults/ and a
+// digest pin of refine's whole outcome on generated planted specs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +19,11 @@
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
+#include "partition/partition.hpp"
+#include "refine/refine.hpp"
 #include "sat/solver.hpp"
 #include "util/diagnostics.hpp"
+#include "util/digest.hpp"
 
 namespace diag = speccc::diag;
 namespace difftest = speccc::difftest;
@@ -353,6 +357,46 @@ TEST(PipelineDiagnosis, ConsistentSpecCarriesNoDiagnosis) {
       "R2: If the stop button is pressed, the status light is updated.\n");
   EXPECT_TRUE(result.consistent);
   EXPECT_FALSE(result.refinement.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Refine's whole outcome over 200 planted specs, pinned by digest: the
+// oracle call count, MUS, related filter, partition flip and correction
+// sets must not move when stage 3 is reorganised.
+
+void absorb(speccc::util::DigestBuilder& digest, const Subset& indices) {
+  digest.u64(indices.size());
+  for (Index i : indices) digest.u64(i);
+}
+
+TEST(Refine, PlantedOutcomesArePinned) {
+  speccc::refine::LocalizeOptions localize_options;
+  localize_options.max_correction_sets = 4;
+  speccc::util::DigestBuilder digest("refine-pin");
+  std::size_t checks = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (int index = 0; index < 100; ++index) {
+      const difftest::SpecCase sc = difftest::build_spec_case(
+          difftest::generated_planted_spec(seed, index).requirements);
+      const speccc::refine::RefinementOutcome outcome = speccc::refine::refine(
+          sc.requirements, speccc::partition::unify(sc.requirements), {},
+          localize_options);
+      const speccc::refine::Localization& loc = outcome.localization;
+      digest.u64(outcome.consistent ? 1 : 0).u64(outcome.checks).u64(loc.checks);
+      absorb(digest, loc.core);
+      absorb(digest, loc.related);
+      digest.u64(loc.correction_sets.size());
+      for (const Subset& mcs : loc.correction_sets) absorb(digest, mcs);
+      digest.u64(outcome.adjustment.has_value() ? 1 : 0);
+      if (outcome.adjustment) {
+        digest.str(outcome.adjustment->variable)
+            .u64(outcome.adjustment->now_input ? 1 : 0);
+      }
+      checks += outcome.checks;
+    }
+  }
+  EXPECT_EQ(checks, 18'715u);
+  EXPECT_EQ(digest.finalize().hex(), "64acb135a7b58163055bfc7b43a9878c");
 }
 
 }  // namespace

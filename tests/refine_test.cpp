@@ -4,6 +4,7 @@
 
 #include "ltl/parser.hpp"
 #include "refine/refine.hpp"
+#include "util/diagnostics.hpp"
 
 namespace refine = speccc::refine;
 namespace ltl = speccc::ltl;
@@ -105,6 +106,12 @@ TEST(Refine, GenuinelyInconsistentSpecStaysInconsistent) {
   EXPECT_FALSE(outcome.adjustment.has_value());
   // The core still identifies the contradictory pair.
   EXPECT_EQ(outcome.localization.core, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(Refine, EmptySpecificationIsAnInvalidInput) {
+  speccc::partition::Partition p;
+  p.inputs = {"a"};
+  EXPECT_THROW((void)refine::refine({}, p), speccc::util::InvalidInputError);
 }
 
 TEST(Refine, NeverLeavesSystemWithoutInputs) {
