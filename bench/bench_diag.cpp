@@ -11,11 +11,13 @@
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
+#include "partition/partition.hpp"
 #include "refine/refine.hpp"
 #include "sat/solver.hpp"
 
 namespace diag = speccc::diag;
 namespace difftest = speccc::difftest;
+namespace partition = speccc::partition;
 namespace refine = speccc::refine;
 namespace sat = speccc::sat;
 
@@ -58,9 +60,11 @@ void BM_McsEnumeration(benchmark::State& state) {
   config.min_faults = config.max_faults = static_cast<int>(state.range(0));
   const auto spec = difftest::generated_planted_spec(kSeed, 0, config);
   const difftest::SpecCase sc = difftest::build_spec_case(spec.requirements);
-  const auto oracle = diag::synthesis_oracle(sc.requirements, sc.signature);
   std::size_t checks = 0;
   for (auto _ : state) {
+    // A fresh oracle per iteration: its memo would answer every later
+    // iteration without synthesizing.
+    const auto oracle = diag::synthesis_oracle(sc.requirements, sc.signature);
     std::vector<std::size_t> universe(sc.requirements.size());
     for (std::size_t i = 0; i < universe.size(); ++i) universe[i] = i;
     const auto sets = diag::correction_sets(universe, oracle, 4, checks);
@@ -71,6 +75,34 @@ void BM_McsEnumeration(benchmark::State& state) {
 BENCHMARK(BM_McsEnumeration)
     ->DenseRange(2, 4, 1)
     ->Unit(benchmark::kMillisecond);
+
+/// The whole stage-3 loop (initial check, MUS shrink, partition flips) over
+/// 50 planted specs of seed 1 without "in N seconds" sentences, with the
+/// default options -- the refine layer of specbench's planted workload.
+void BM_RefinePlanted(benchmark::State& state) {
+  difftest::FaultConfig config;
+  config.base.timed_percent = 0;
+  std::vector<difftest::SpecCase> cases;
+  std::vector<partition::Partition> partitions;
+  for (int index = 0; index < 50; ++index) {
+    cases.push_back(difftest::build_spec_case(
+        difftest::generated_planted_spec(1, index, config).requirements));
+    partitions.push_back(partition::unify(cases.back().requirements));
+  }
+  std::size_t checks = 0;
+  for (auto _ : state) {
+    checks = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const auto outcome =
+          refine::refine(cases[i].requirements, partitions[i]);
+      checks += outcome.checks;
+    }
+    benchmark::DoNotOptimize(checks);
+  }
+  state.counters["specs"] = static_cast<double>(cases.size());
+  state.counters["realizability_checks"] = static_cast<double>(checks);
+}
+BENCHMARK(BM_RefinePlanted)->Unit(benchmark::kMillisecond);
 
 /// SAT-backed group MUS: N innocent unit groups around one gated
 /// pigeonhole contradiction. The solver's assumption core prunes all N

@@ -43,7 +43,7 @@ constexpr std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 Manager::Manager() {
   nodes_.push_back({kTerminalVar, 0, 0});  // node 0: the true terminal
-  unique_table_.assign(1u << 12, 0);
+  unique_table_.assign(kInitialUniqueSlots, 0);
   unique_mask_ = unique_table_.size() - 1;
   cache_.assign(kInitialCacheEntries, CacheEntry{});
   cache_mask_ = cache_.size() - 1;

@@ -299,13 +299,18 @@ class Manager {
   std::vector<std::uint32_t> unique_table_;
   std::size_t unique_mask_ = 0;
   std::size_t unique_used_ = 0;
+  // Both tables start at 1024 entries: most managers solve one small game
+  // (a stage-3 component), and zero-filling 4096-entry tables per manager
+  // cost more than the few doublings a big game needs. At 256 the Table I
+  // games paid for the extra doublings.
+  static constexpr std::size_t kInitialUniqueSlots = 1u << 10;
 
   // Direct-mapped lossy computed cache; grows (rehashing live entries) up
   // to kMaxCacheEntries when the miss rate says it is too small.
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
   std::size_t misses_at_last_resize_ = 0;
-  static constexpr std::size_t kInitialCacheEntries = 1u << 12;
+  static constexpr std::size_t kInitialCacheEntries = 1u << 10;
   static constexpr std::size_t kMaxCacheEntries = 1u << 20;
 
   // Interned operand registries (ids feed the computed-cache tags), each

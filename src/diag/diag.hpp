@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -88,11 +89,50 @@ struct Diagnosis {
                                  const CoreOracle& oracle,
                                  const Options& options = {});
 
-/// Oracle over realizability: a subset is consistent iff the conjunction
-/// of its formulas is realizable under the (fixed) signature. kUnknown
-/// counts as inconsistent, matching refine's conservative reading. No real
-/// cores -- inconsistent queries are echoed back. Each query polls
-/// options.{symbolic,bounded}.cancelled and lets util::CancelledError out.
+/// Realizability over subsets of one requirement list, compositional and
+/// memoized. A subset is consistent iff the conjunction of its formulas is
+/// realizable under the signature of the view that asks; kUnknown counts
+/// as inconsistent, matching refine's conservative reading. No real cores
+/// -- inconsistent queries are echoed back.
+///
+/// When the symbolic engine decides the whole subset (every requirement in
+/// the pattern fragment, every atom in the signature), the query is split
+/// into components: union-find over the propositions the requirements
+/// share. Each component is synthesized alone, with its own manager and
+/// the signature projected onto its propositions, and its verdict is
+/// memoized under its sorted requirement indices plus each proposition's
+/// side (input/output) in the signature. Lookups use monotonicity: a
+/// component inside a realizable entry, or holding an unrealizable one,
+/// with the same sides, is decided without synthesis. With no assumptions
+/// every requirement is a guarantee, so a conjunction over disjoint
+/// vocabularies is realizable iff each conjunct is, and the symbolic
+/// engine decides exactly: answers are those of one monolithic call. Any
+/// other subset takes one monolithic synth::synthesize call, unmemoized,
+/// because the bounded engine's caps are not compositional.
+///
+/// Views under different signatures share the memo, so a partition flip
+/// re-solves only the components that contain the flipped proposition.
+/// Proposition ids are ranks among the requirements' atom names, never
+/// taken from a signature. Copies share state; one oracle serves one
+/// thread.
+class SynthesisOracle {
+ public:
+  SynthesisOracle(std::vector<ltl::Formula> requirements,
+                  synth::SynthesisOptions options = {});
+
+  /// A CoreOracle asking under `signature`, backed by this oracle's memo
+  /// (it keeps the shared state alive). Every nonempty query polls
+  /// options.{symbolic,bounded}.cancelled -- memo hits included -- and
+  /// lets util::CancelledError out.
+  [[nodiscard]] CoreOracle under(const synth::IoSignature& signature) const;
+
+ private:
+  struct State;
+  std::shared_ptr<State> state_;
+};
+
+/// SynthesisOracle(requirements, options).under(signature): a memoized
+/// oracle under one fixed signature.
 [[nodiscard]] CoreOracle synthesis_oracle(
     std::vector<ltl::Formula> requirements, synth::IoSignature signature,
     synth::SynthesisOptions options = {});

@@ -11,13 +11,14 @@ namespace speccc::refine {
 
 using ltl::Formula;
 
-Localization localize(const std::vector<Formula>& requirements,
-                      const synth::IoSignature& signature,
-                      const synth::SynthesisOptions& options) {
+namespace {
+
+/// localize() over a caller's oracle, so refine() can share one memo
+/// between its own checks and the diagnosis.
+Localization localize_with(const std::vector<Formula>& requirements,
+                           const diag::CoreOracle& oracle) {
   const diag::Diagnosis diagnosis = diag::diagnose(
-      requirements.size(),
-      diag::synthesis_oracle(requirements, signature, options),
-      {.max_correction_sets = 0});
+      requirements.size(), oracle, {.max_correction_sets = 0});
   speccc_check(!diagnosis.consistent(),
                "localize precondition: full specification must be unrealizable");
   Localization out;
@@ -41,6 +42,15 @@ Localization localize(const std::vector<Formula>& requirements,
   return out;
 }
 
+}  // namespace
+
+Localization localize(const std::vector<Formula>& requirements,
+                      const synth::IoSignature& signature,
+                      const synth::SynthesisOptions& options) {
+  return localize_with(requirements,
+                       diag::synthesis_oracle(requirements, signature, options));
+}
+
 RefinementOutcome refine(const std::vector<Formula>& requirements,
                          const partition::Partition& initial,
                          const synth::SynthesisOptions& options,
@@ -55,16 +65,19 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
 
   std::vector<std::size_t> universe(requirements.size());
   std::iota(universe.begin(), universe.end(), std::size_t{0});
-  const synth::IoSignature signature = partition::signature(initial);
+  // One memo for every question below: localize's universe query repeats
+  // the initial check and is a hit, and a flip re-solves only the
+  // components that contain the flipped variable.
+  const diag::SynthesisOracle synthesis(requirements, options);
   const diag::CoreOracle oracle =
-      diag::synthesis_oracle(requirements, signature, options);
+      synthesis.under(partition::signature(initial));
   ++outcome.checks;
   if (!oracle(universe)) {
     outcome.consistent = true;
     return outcome;
   }
 
-  outcome.localization = localize(requirements, signature, options);
+  outcome.localization = localize_with(requirements, oracle);
   outcome.checks += outcome.localization.checks;
 
   // Candidate variables: propositions of the core, ranked by occurrence
@@ -101,8 +114,7 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
     }
     if (flipped.inputs.empty()) continue;  // a system needs some input
     ++outcome.checks;
-    if (!diag::synthesis_oracle(requirements, partition::signature(flipped),
-                                options)(universe)) {
+    if (!synthesis.under(partition::signature(flipped))(universe)) {
       outcome.consistent = true;
       outcome.adjustment = Adjustment{variable, !was_input};
       outcome.partition = flipped;

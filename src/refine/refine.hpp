@@ -7,9 +7,13 @@
 // diag engine enumerates minimal correction sets, the alternative sentence
 // removals that would restore consistency.
 //
-// Every realizability question here -- the initial check, each partition
-// flip, the MUS shrink and the correction sets -- is one query to
-// diag::synthesis_oracle, the single stage-3 call into synth.
+// Every realizability question one refine() call asks -- the initial
+// check, the MUS shrink, each partition flip and the correction sets -- is
+// one query to a single diag::SynthesisOracle, the only stage-3 call into
+// synth. They share its component memo: localize's universe query repeats
+// the initial check and is a memo hit, and a flip re-solves only the
+// components that contain the flipped variable. Counts (`checks`) are
+// queries asked, memo hits included.
 #pragma once
 
 #include <optional>

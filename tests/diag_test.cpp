@@ -19,15 +19,19 @@
 #include "diag/diag.hpp"
 #include "difftest/harness.hpp"
 #include "difftest/oracle.hpp"
+#include "ltl/parser.hpp"
 #include "partition/partition.hpp"
 #include "refine/refine.hpp"
 #include "sat/solver.hpp"
+#include "synth/monitors.hpp"
 #include "util/diagnostics.hpp"
 #include "util/digest.hpp"
 
 namespace diag = speccc::diag;
 namespace difftest = speccc::difftest;
 namespace sat = speccc::sat;
+namespace synth = speccc::synth;
+using speccc::synth::IoSignature;
 
 namespace {
 
@@ -244,6 +248,142 @@ TEST(SynthesisOracle, CorrectionSetRemovalRestoresConsistency) {
     EXPECT_FALSE(oracle(rest).has_value())
         << spec.name << ": MCS removal must restore consistency";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The compositional oracle against one monolithic synth::synthesize call
+// per subset: splitting a query into independent components and memoizing
+// their verdicts across signatures must never change an answer.
+
+std::vector<speccc::ltl::Formula> parse_all(
+    const std::vector<std::string>& texts) {
+  std::vector<speccc::ltl::Formula> out;
+  for (const std::string& t : texts) out.push_back(speccc::ltl::parse(t));
+  return out;
+}
+
+bool monolithic_consistent(const std::vector<speccc::ltl::Formula>& requirements,
+                           const Subset& subset, const IoSignature& signature) {
+  if (subset.empty()) return true;
+  std::vector<speccc::ltl::Formula> formulas;
+  for (Index i : subset) formulas.push_back(requirements[i]);
+  return synth::synthesize(formulas, signature).verdict ==
+         synth::Realizability::kRealizable;
+}
+
+/// Every subset of a small requirement list, under `signature`.
+void expect_all_subsets_match(const std::vector<speccc::ltl::Formula>& requirements,
+                              const IoSignature& signature) {
+  const auto oracle = diag::synthesis_oracle(requirements, signature);
+  for (std::size_t mask = 0; mask < (std::size_t{1} << requirements.size());
+       ++mask) {
+    Subset subset;
+    for (Index i = 0; i < requirements.size(); ++i) {
+      if ((mask >> i) & 1) subset.push_back(i);
+    }
+    EXPECT_EQ(!oracle(subset).has_value(),
+              monolithic_consistent(requirements, subset, signature))
+        << "subset mask " << mask;
+  }
+}
+
+/// Seeded random subsets (plus the universe) of one spec case, asked
+/// through one shared oracle object under the spec's signature and under
+/// a signature with its first output flipped to an input.
+void expect_random_subsets_match(const difftest::SpecCase& sc,
+                                 const std::string& name, std::uint64_t seed) {
+  std::vector<IoSignature> signatures{sc.signature};
+  if (!sc.signature.outputs.empty()) {
+    IoSignature flipped = sc.signature;
+    flipped.inputs.push_back(flipped.outputs.front());
+    flipped.outputs.erase(flipped.outputs.begin());
+    signatures.push_back(flipped);
+  }
+  const diag::SynthesisOracle oracle(sc.requirements);
+  speccc::util::Rng rng(seed);
+  for (int round = 0; round < 8; ++round) {
+    Subset subset;
+    for (Index i = 0; i < sc.requirements.size(); ++i) {
+      if (round == 0 || rng.chance(1, 2)) subset.push_back(i);
+    }
+    for (std::size_t s = 0; s < signatures.size(); ++s) {
+      EXPECT_EQ(!oracle.under(signatures[s])(subset).has_value(),
+                monolithic_consistent(sc.requirements, subset, signatures[s]))
+          << name << " round " << round << " signature " << s;
+    }
+  }
+}
+
+TEST(SynthesisOracle, ComposedAnswersMatchMonolithicSynthesis) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (int index = 0; index < 12; ++index) {
+      const difftest::PlantedSpec spec =
+          difftest::generated_planted_spec(seed, index);
+      expect_random_subsets_match(difftest::build_spec_case(spec.requirements),
+                                  spec.name, seed * 100 + index);
+    }
+  }
+  for (int index = 0; index < 12; ++index) {
+    const difftest::GeneratedSpec spec = difftest::generated_spec(4, index);
+    expect_random_subsets_match(difftest::build_spec_case(spec.requirements),
+                                spec.name, 400 + index);
+  }
+}
+
+TEST(SynthesisOracle, FlipChangesOneComponentAndTheSharedMemoFollows) {
+  // {0, 1} conflict while the environment drives the door and agree once
+  // the system does; {2} is realizable either way.
+  const auto requirements = parse_all(
+      {"G (door -> alarm)", "G (door -> !alarm)", "G (start -> pump)"});
+  const IoSignature door_input{{"door", "start"}, {"alarm", "pump"}};
+  const IoSignature door_output{{"start"}, {"alarm", "door", "pump"}};
+  const diag::SynthesisOracle oracle(requirements);
+  const Subset all{0, 1, 2};
+  EXPECT_TRUE(oracle.under(door_input)(all).has_value());
+  EXPECT_FALSE(oracle.under(door_output)(all).has_value());
+  EXPECT_TRUE(oracle.under(door_input)(all).has_value());
+  EXPECT_FALSE(oracle.under(door_output)({0, 1}).has_value());
+  EXPECT_TRUE(oracle.under(door_input)({0, 1}).has_value());
+  EXPECT_FALSE(oracle.under(door_input)({2}).has_value());
+  EXPECT_FALSE(oracle.under(door_output)({2}).has_value());
+
+  // Through refine: the first candidate (alarm, as an input) still fails,
+  // the second (door, as an output) repairs the spec.
+  speccc::partition::Partition initial;
+  initial.inputs = {"door", "start"};
+  initial.outputs = {"alarm", "pump"};
+  const auto outcome = speccc::refine::refine(requirements, initial);
+  EXPECT_TRUE(outcome.consistent);
+  ASSERT_TRUE(outcome.adjustment.has_value());
+  EXPECT_EQ(outcome.adjustment->variable, "door");
+  EXPECT_FALSE(outcome.adjustment->now_input);
+  EXPECT_EQ(outcome.localization.core, (Subset{0, 1}));
+}
+
+TEST(SynthesisOracle, ComponentsWithoutInputsOrPropositionsAnswerAsOneCall) {
+  // {1, 2} is a component of outputs only.
+  const auto outputs_only = parse_all({"G (a -> b)", "G c", "G !c"});
+  ASSERT_TRUE(synth::fragment_covers(outputs_only));
+  expect_all_subsets_match(outputs_only, {{"a"}, {"b", "c"}});
+
+  // A requirement without propositions folds to a constant, which the
+  // pattern fragment does not cover: a subset holding one is a single
+  // monolithic call, and the subsets without it still decompose.
+  const auto constants =
+      parse_all({"G (a -> b)", "G c", "G !c", "G true", "G false"});
+  EXPECT_TRUE(constants[3].atoms().empty());
+  EXPECT_FALSE(synth::fragment_covers({constants[3]}));
+  EXPECT_FALSE(synth::fragment_covers({constants[4]}));
+  expect_all_subsets_match(constants, {{"a"}, {"b", "c"}});
+}
+
+TEST(SynthesisOracle, NonFragmentSubsetsTakeOneMonolithicCall) {
+  // "a U b" is outside the pattern fragment, so every subset holding it
+  // goes to the bounded engine whole, exactly as one synthesize call.
+  const auto requirements =
+      parse_all({"a U b", "G (a -> c)", "G (a -> !c)", "G (d -> e)"});
+  ASSERT_FALSE(synth::fragment_covers({requirements[0]}));
+  expect_all_subsets_match(requirements, {{"a", "d"}, {"b", "c", "e"}});
 }
 
 // ---------------------------------------------------------------------------
