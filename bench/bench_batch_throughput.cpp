@@ -57,12 +57,22 @@ void BM_BatchGenerated(benchmark::State& state) {
 BENCHMARK(BM_BatchGenerated)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// One inconsistent spec whose screen meets a depth-12 Next chain:
-/// CARA/2.1.1 (CARA-2.1.1-5 is "... in 120 seconds") plus a contradictory
-/// alarm pair, so no partition repairs it and the screen runs in full.
+/// One inconsistent spec whose screen meets depth-12 Next chains that no
+/// constant trace satisfies, so the tableau runs: CARA/2.1.1 plus three
+/// requirements "if g or !h, X^12 (a && !b)" and a contradictory alarm
+/// pair, so no partition repairs it and the screen runs in full.
 void BM_ScreenInconsistentDepth12(benchmark::State& state) {
-  SpecTask task{"CARA/2.1.1 + alarm clash",
+  SpecTask task{"CARA/2.1.1 + slow screen + alarm clash",
                 speccc::corpus::cara_component_specs().at(1).requirements};
+  task.requirements.push_back(
+      {"Slow-1", "If the alarm is issued or the monitor is not raised, the "
+                 "high line and the low rate are detected in 120 seconds."});
+  task.requirements.push_back(
+      {"Slow-2", "If the alarm is issued or the monitor is not raised, the "
+                 "high rate and the low line are detected in 120 seconds."});
+  task.requirements.push_back(
+      {"Slow-3", "If the alarm is issued or the monitor is not raised, the "
+                 "high signal and the low sensor are detected in 120 seconds."});
   task.requirements.push_back({"Clash-1", "The alarm is issued."});
   task.requirements.push_back({"Clash-2", "The alarm is not issued."});
   run_batch(state, {task});

@@ -121,8 +121,7 @@ if [[ -x "$batch_bin" ]]; then
   # Budget smoke: every Table I row is consistent, so none runs the
   # satisfiability screen and each finishes in a few milliseconds in
   # Release. A 0.25 s per-task budget (over 10x the slowest row) must
-  # leave the canonical report byte-identical to the unbudgeted run; a
-  # screen on these rows (0.43 s per depth-12 requirement) would not fit.
+  # leave the canonical report byte-identical to the unbudgeted run.
   echo "speccc_batch budget smoke (Table I canonical diff, --time-budget 0.25 vs none)"
   "$batch_bin" --jobs "$batch_jobs" --quiet --canonical --corpus table1 \
     > "$build_dir/batch-smoke-table1.txt"

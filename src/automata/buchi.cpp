@@ -100,10 +100,6 @@ bool accepts_lasso(const Buchi& automaton, const ltl::Lasso& lasso) {
 
 Buchi prune(const Buchi& automaton, const std::function<bool()>& cancelled) {
   const std::size_t n = automaton.num_states();
-
-  // Backward closure: states that can reach an accepting cycle. First find
-  // states on accepting cycles via repeated DFS (sizes here are small), then
-  // take predecessors.
   std::vector<std::vector<int>> preds(n);
   for (std::size_t s = 0; s < n; ++s) {
     for (const Transition& t : automaton.transitions[s]) {
@@ -111,38 +107,67 @@ Buchi prune(const Buchi& automaton, const std::function<bool()>& cancelled) {
     }
   }
 
+  // Accepting states on a cycle, from one iterative Tarjan SCC pass over
+  // the states reachable from the initial state (no other state survives
+  // the forward pass below): an accepting state lies on a cycle iff its SCC
+  // is nontrivial or it has a self-loop.
   std::vector<bool> useful(n, false);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!automaton.accepting[s]) continue;
+  std::vector<int> index(n, -1);
+  std::vector<int> low(n, 0);
+  std::vector<bool> on_stack(n, false);
+  std::vector<int> scc;
+  // DFS frames: a state and the position of its next transition.
+  std::vector<std::pair<int, std::size_t>> frames;
+  int next_index = 0;
+  const auto visit = [&](int s) {
     if (cancelled && cancelled()) {
       throw util::CancelledError("tableau construction cancelled");
     }
-    // Is s on a cycle?
-    std::vector<bool> seen(n, false);
-    std::vector<int> stack;
-    for (const Transition& t : automaton.transitions[s]) {
-      if (!seen[static_cast<std::size_t>(t.target)]) {
-        seen[static_cast<std::size_t>(t.target)] = true;
-        stack.push_back(t.target);
+    const auto u = static_cast<std::size_t>(s);
+    index[u] = low[u] = next_index++;
+    scc.push_back(s);
+    on_stack[u] = true;
+    frames.emplace_back(s, 0);
+  };
+  visit(automaton.initial);
+  while (!frames.empty()) {
+    const auto [s, next] = frames.back();
+    const auto u = static_cast<std::size_t>(s);
+    const std::vector<Transition>& edges = automaton.transitions[u];
+    if (next < edges.size()) {
+      ++frames.back().second;
+      const auto v = static_cast<std::size_t>(edges[next].target);
+      if (index[v] == -1) {
+        visit(edges[next].target);
+      } else if (on_stack[v]) {
+        low[u] = std::min(low[u], index[v]);
       }
+      continue;
     }
-    bool on_cycle = seen[s];
-    while (!stack.empty() && !on_cycle) {
-      const int cur = stack.back();
-      stack.pop_back();
-      for (const Transition& t : automaton.transitions[static_cast<std::size_t>(cur)]) {
-        if (t.target == static_cast<int>(s)) {
-          on_cycle = true;
-          break;
-        }
-        if (!seen[static_cast<std::size_t>(t.target)]) {
-          seen[static_cast<std::size_t>(t.target)] = true;
-          stack.push_back(t.target);
-        }
-      }
+    frames.pop_back();
+    if (!frames.empty()) {
+      const auto parent = static_cast<std::size_t>(frames.back().first);
+      low[parent] = std::min(low[parent], low[u]);
     }
-    if (on_cycle) useful[s] = true;
+    if (low[u] != index[u]) continue;
+    // s roots an SCC: the states above it on the stack.
+    std::size_t first = scc.size();
+    do {
+      --first;
+    } while (scc[first] != s);
+    const bool nontrivial = scc.size() - first > 1;
+    for (std::size_t k = first; k < scc.size(); ++k) {
+      const auto m = static_cast<std::size_t>(scc[k]);
+      on_stack[m] = false;
+      if (!automaton.accepting[m]) continue;
+      useful[m] = nontrivial ||
+                  std::any_of(edges.begin(), edges.end(), [s](const Transition& t) {
+                    return t.target == s;
+                  });
+    }
+    scc.resize(first);
   }
+
   // Backward closure from accepting-cycle states.
   std::vector<int> work;
   for (std::size_t s = 0; s < n; ++s) {

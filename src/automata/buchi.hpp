@@ -57,9 +57,9 @@ struct Buchi {
 /// Remove states that cannot reach an accepting cycle (they never contribute
 /// to acceptance) and states unreachable from the initial state. Keeps the
 /// automaton language-equivalent; shrinks the bounded-synthesis state space.
-/// Runs one cycle search per accepting state, so it is quadratic in the
-/// state count; `cancelled` is polled before each search and returning true
-/// raises util::CancelledError.
+/// Linear in states plus transitions (one iterative Tarjan SCC pass, then a
+/// backward and a forward closure); `cancelled` is polled at each state the
+/// SCC pass visits and returning true raises util::CancelledError.
 [[nodiscard]] Buchi prune(const Buchi& automaton,
                           const std::function<bool()>& cancelled = {});
 

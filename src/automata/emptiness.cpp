@@ -89,6 +89,16 @@ std::optional<Witness> find_accepting_lasso(const Buchi& automaton) {
 
 std::optional<Witness> satisfiable_witness(
     ltl::Formula f, const std::function<bool()>& cancelled) {
+  if (cancelled && cancelled()) {
+    throw util::CancelledError("tableau construction cancelled");
+  }
+  // A constant trace is a model of most requirements (an implication holds
+  // vacuously when its trigger never does), so try the two constant
+  // one-step lassos before the exponential tableau.
+  for (const ltl::Valuation& constant : {ltl::Valuation{}, f.atoms()}) {
+    ltl::Lasso lasso({constant}, 0);
+    if (ltl::evaluate(f, lasso)) return Witness{std::move(lasso)};
+  }
   return find_accepting_lasso(ltl_to_nbw(f, cancelled));
 }
 

@@ -1,5 +1,5 @@
-// Buechi emptiness checking with lasso witnesses, and automata-based LTL
-// satisfiability.
+// Buechi emptiness checking with lasso witnesses, and LTL satisfiability
+// (constant-lasso witnesses first, the tableau for the rest).
 //
 // Used three ways:
 //   * screening translated requirements (an unsatisfiable requirement can
@@ -33,10 +33,15 @@ struct Witness {
   return !find_accepting_lasso(automaton).has_value();
 }
 
-/// LTL satisfiability via the tableau: satisfiable iff the NBW of f has a
-/// nonempty language. The witness satisfies f (checked in tests against
-/// ltl::evaluate). The tableau is exponential in Next-chain depth;
-/// `cancelled` is polled throughout its construction (see ltl_to_nbw) and
+/// LTL satisfiability, witness first. The two constant one-step lassos (all
+/// atoms false, then all of f.atoms() true) are tried under ltl::evaluate;
+/// if one satisfies f it is the witness. Controlled-English requirements
+/// are implications that a trigger-free trace satisfies vacuously, so this
+/// answers nearly all of them in microseconds. Otherwise the tableau
+/// decides: satisfiable iff the NBW of f has a nonempty language, and its
+/// accepting lasso is the witness. Either way the witness satisfies f. The
+/// tableau is exponential in Next-chain depth. `cancelled` is polled once
+/// on entry and throughout the tableau's construction (see ltl_to_nbw);
 /// returning true raises util::CancelledError.
 [[nodiscard]] std::optional<Witness> satisfiable_witness(
     ltl::Formula f, const std::function<bool()>& cancelled = {});

@@ -33,8 +33,8 @@ namespace speccc::automata {
 /// conjoined G obligations are exponential) cost bounded time instead of
 /// minutes. Callers that can live with "don't know" -- the bounded
 /// synthesis engine, the differential harness -- use this. `cancelled` is
-/// polled once per expanded node and once per accepting state of the
-/// pruning pass (automata/buchi.hpp); returning true raises
+/// polled once per expanded node and once per state the pruning pass's SCC
+/// search visits (automata/buchi.hpp); returning true raises
 /// util::CancelledError (portfolio racers cancel losing tableaux here).
 [[nodiscard]] std::optional<Buchi> ltl_to_nbw_bounded(
     ltl::Formula f, std::size_t max_nodes,

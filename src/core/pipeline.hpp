@@ -48,7 +48,8 @@ struct PipelineOptions {
   /// Stage-3 localization knob: how many minimal correction sets to
   /// enumerate for genuinely inconsistent specifications.
   refine::LocalizeOptions localization;
-  /// Flag individually unsatisfiable requirements (tableau emptiness). The
+  /// Flag individually unsatisfiable requirements (automata::satisfiable:
+  /// a constant-lasso witness first, tableau emptiness for the rest). The
   /// screen runs after stages 2/3 and only when the specification ends up
   /// inconsistent: a realizable specification has no unsatisfiable
   /// requirement. Requirements whose abstracted Next chains still exceed

@@ -297,6 +297,14 @@ CoreOracle SynthesisOracle::under(const synth::IoSignature& signature) const {
   };
 }
 
+const std::vector<std::string>& SynthesisOracle::atom_names() const {
+  return state_->names;
+}
+
+const std::vector<std::uint32_t>& SynthesisOracle::atom_ids(std::size_t i) const {
+  return state_->props.at(i);
+}
+
 CoreOracle synthesis_oracle(std::vector<ltl::Formula> requirements,
                             synth::IoSignature signature,
                             synth::SynthesisOptions options) {

@@ -29,9 +29,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ltl/formula.hpp"
@@ -125,6 +127,12 @@ class SynthesisOracle {
   /// options.{symbolic,bounded}.cancelled -- memo hits included -- and
   /// lets util::CancelledError out.
   [[nodiscard]] CoreOracle under(const synth::IoSignature& signature) const;
+
+  /// Every requirement atom, sorted once at construction; an atom's id is
+  /// its rank here, so id order is name order.
+  [[nodiscard]] const std::vector<std::string>& atom_names() const;
+  /// The sorted atom ids of requirement i.
+  [[nodiscard]] const std::vector<std::uint32_t>& atom_ids(std::size_t i) const;
 
  private:
   struct State;

@@ -60,6 +60,12 @@ std::optional<std::string> check_formula(Formula f, util::Rng& rng,
     return "tableau witness for `" + show(nf) +
            "` is rejected by trace evaluation";
   }
+  // The satisfiability entry point tries constant lassos before the
+  // tableau; its verdict must be the tableau's.
+  if (automata::satisfiable(f) != wf.has_value()) {
+    return "satisfiability check disagrees with the tableau on `" + show(f) +
+           "`";
+  }
   // At least one of f, !f is satisfiable in any sane logic.
   if (!wf && !wn) {
     return "tableau reports both `" + show(f) + "` and its negation "

@@ -1,7 +1,7 @@
 #include "refine/refine.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <numeric>
 
 #include "diag/diag.hpp"
@@ -13,12 +13,23 @@ using ltl::Formula;
 
 namespace {
 
+/// By atom id: does some requirement of `core` mention the atom?
+std::vector<bool> core_atoms(const diag::SynthesisOracle& synthesis,
+                             const std::vector<std::size_t>& core) {
+  std::vector<bool> in_core(synthesis.atom_names().size(), false);
+  for (std::size_t i : core) {
+    for (std::uint32_t a : synthesis.atom_ids(i)) in_core[a] = true;
+  }
+  return in_core;
+}
+
 /// localize() over a caller's oracle, so refine() can share one memo
-/// between its own checks and the diagnosis.
-Localization localize_with(const std::vector<Formula>& requirements,
-                           const diag::CoreOracle& oracle) {
-  const diag::Diagnosis diagnosis = diag::diagnose(
-      requirements.size(), oracle, {.max_correction_sets = 0});
+/// between its own checks and the diagnosis. Propositions are compared by
+/// the atom ids `synthesis` computed once per requirement.
+Localization localize_with(const diag::SynthesisOracle& synthesis,
+                           std::size_t size, const diag::CoreOracle& oracle) {
+  const diag::Diagnosis diagnosis =
+      diag::diagnose(size, oracle, {.max_correction_sets = 0});
   speccc_check(!diagnosis.consistent(),
                "localize precondition: full specification must be unrealizable");
   Localization out;
@@ -26,17 +37,11 @@ Localization localize_with(const std::vector<Formula>& requirements,
   out.checks = diagnosis.checks;
 
   // Filtering step: requirements sharing propositions with the core.
-  std::set<std::string> core_props;
-  for (std::size_t i : out.core) {
-    const auto atoms = requirements[i].atoms();
-    core_props.insert(atoms.begin(), atoms.end());
-  }
-  for (std::size_t i = 0; i < requirements.size(); ++i) {
-    const auto atoms = requirements[i].atoms();
+  const std::vector<bool> in_core = core_atoms(synthesis, out.core);
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::vector<std::uint32_t>& atoms = synthesis.atom_ids(i);
     const bool shares = std::any_of(atoms.begin(), atoms.end(),
-                                    [&core_props](const std::string& a) {
-                                      return core_props.count(a) > 0;
-                                    });
+                                    [&in_core](std::uint32_t a) { return in_core[a]; });
     if (shares) out.related.push_back(i);
   }
   return out;
@@ -47,8 +52,8 @@ Localization localize_with(const std::vector<Formula>& requirements,
 Localization localize(const std::vector<Formula>& requirements,
                       const synth::IoSignature& signature,
                       const synth::SynthesisOptions& options) {
-  return localize_with(requirements,
-                       diag::synthesis_oracle(requirements, signature, options));
+  const diag::SynthesisOracle synthesis(requirements, options);
+  return localize_with(synthesis, requirements.size(), synthesis.under(signature));
 }
 
 RefinementOutcome refine(const std::vector<Formula>& requirements,
@@ -77,32 +82,32 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
     return outcome;
   }
 
-  outcome.localization = localize_with(requirements, oracle);
+  outcome.localization = localize_with(synthesis, requirements.size(), oracle);
   outcome.checks += outcome.localization.checks;
 
   // Candidate variables: propositions of the core, ranked by occurrence
-  // count over the core and related requirements (most implicated first).
-  std::set<std::string> core_props;
-  for (std::size_t i : outcome.localization.core) {
-    const auto atoms = requirements[i].atoms();
-    core_props.insert(atoms.begin(), atoms.end());
-  }
-  std::map<std::string, std::size_t> occurrence;
+  // count over the core and related requirements (most implicated first;
+  // ties in name order, which is id order).
+  const std::vector<bool> in_core =
+      core_atoms(synthesis, outcome.localization.core);
+  std::vector<std::size_t> occurrence(in_core.size(), 0);
   for (std::size_t i : outcome.localization.related) {
-    for (const auto& a : requirements[i].atoms()) {
-      if (core_props.count(a) > 0) ++occurrence[a];
+    for (std::uint32_t a : synthesis.atom_ids(i)) {
+      if (in_core[a]) ++occurrence[a];
     }
   }
-  std::vector<std::string> candidates(core_props.begin(), core_props.end());
-  std::sort(candidates.begin(), candidates.end(),
-            [&occurrence](const std::string& a, const std::string& b) {
-              const auto ca = occurrence[a];
-              const auto cb = occurrence[b];
-              return ca != cb ? ca > cb : a < b;
-            });
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t a = 0; a < in_core.size(); ++a) {
+    if (in_core[a]) candidates.push_back(a);
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&occurrence](std::uint32_t a, std::uint32_t b) {
+                     return occurrence[a] > occurrence[b];
+                   });
 
   // Try flipping each candidate (paper V-B bullet 2).
-  for (const std::string& variable : candidates) {
+  for (std::uint32_t id : candidates) {
+    const std::string& variable = synthesis.atom_names()[id];
     partition::Partition flipped = initial;
     const bool was_input = flipped.is_input(variable);
     if (was_input) {

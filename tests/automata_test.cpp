@@ -3,6 +3,7 @@
 // and membership.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,117 @@ TEST(Prune, EmptyLanguageCollapses) {
   const auto pruned = automata::prune(b);
   EXPECT_EQ(pruned.num_states(), 1u);
   EXPECT_FALSE(automata::accepts_lasso(pruned, make_lasso({{}}, 0)));
+}
+
+/// prune by its definition: keep the states reachable from the initial
+/// state that reach an accepting state on a cycle, in original order, and
+/// the transitions between kept states.
+automata::Buchi reference_prune(const automata::Buchi& b) {
+  const std::size_t n = b.num_states();
+  const auto reach_from = [&b, n](std::size_t s) {
+    std::vector<bool> seen(n, false);
+    std::vector<std::size_t> work{s};
+    seen[s] = true;
+    while (!work.empty()) {
+      const std::size_t cur = work.back();
+      work.pop_back();
+      for (const automata::Transition& t : b.transitions[cur]) {
+        const auto tgt = static_cast<std::size_t>(t.target);
+        if (!seen[tgt]) {
+          seen[tgt] = true;
+          work.push_back(tgt);
+        }
+      }
+    }
+    return seen;
+  };
+  std::vector<std::vector<bool>> reach(n);
+  for (std::size_t s = 0; s < n; ++s) reach[s] = reach_from(s);
+  const auto on_cycle = [&](std::size_t s) {
+    for (const automata::Transition& t : b.transitions[s]) {
+      if (reach[static_cast<std::size_t>(t.target)][s]) return true;
+    }
+    return false;
+  };
+  std::vector<int> remap(n, -1);
+  automata::Buchi out;
+  out.aps = b.aps;
+  for (std::size_t s = 0; s < n; ++s) {
+    bool alive = false;
+    for (std::size_t a = 0; a < n && !alive; ++a) {
+      alive = reach[s][a] && b.accepting[a] && on_cycle(a);
+    }
+    if (!alive || !reach[static_cast<std::size_t>(b.initial)][s]) continue;
+    remap[s] = static_cast<int>(out.transitions.size());
+    out.transitions.emplace_back();
+    out.accepting.push_back(b.accepting[s]);
+  }
+  if (remap[static_cast<std::size_t>(b.initial)] == -1) {
+    out.transitions.assign(1, {});
+    out.accepting.assign(1, false);
+    return out;
+  }
+  out.initial = remap[static_cast<std::size_t>(b.initial)];
+  for (std::size_t s = 0; s < n; ++s) {
+    if (remap[s] == -1) continue;
+    for (const automata::Transition& t : b.transitions[s]) {
+      const int nt = remap[static_cast<std::size_t>(t.target)];
+      if (nt != -1) {
+        out.transitions[static_cast<std::size_t>(remap[s])].push_back({t.label, nt});
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Prune, MatchesItsDefinitionOnRandomAutomata) {
+  speccc::util::Rng rng(0x5eedULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    automata::Buchi b;
+    b.aps = {"a"};
+    const std::size_t n = 1 + rng.below(10);
+    b.initial = static_cast<int>(rng.below(n));
+    b.transitions.assign(n, {});
+    for (std::size_t s = 0; s < n; ++s) {
+      b.accepting.push_back(rng.chance(1, 3));
+      const std::size_t out_degree = rng.below(4);
+      for (std::size_t k = 0; k < out_degree; ++k) {
+        automata::Cube label;
+        if (rng.chance(1, 2)) label.pos.insert("a");
+        b.transitions[s].push_back({label, static_cast<int>(rng.below(n))});
+      }
+    }
+    const automata::Buchi expected = reference_prune(b);
+    const automata::Buchi pruned = automata::prune(b);
+    ASSERT_EQ(pruned.initial, expected.initial) << "trial " << trial;
+    ASSERT_EQ(pruned.accepting, expected.accepting) << "trial " << trial;
+    ASSERT_EQ(pruned.num_states(), expected.num_states()) << "trial " << trial;
+    for (std::size_t s = 0; s < pruned.num_states(); ++s) {
+      ASSERT_EQ(pruned.transitions[s].size(), expected.transitions[s].size())
+          << "trial " << trial << " state " << s;
+      for (std::size_t k = 0; k < pruned.transitions[s].size(); ++k) {
+        EXPECT_EQ(pruned.transitions[s][k].target, expected.transitions[s][k].target);
+        EXPECT_EQ(pruned.transitions[s][k].label, expected.transitions[s][k].label);
+      }
+    }
+  }
+}
+
+TEST(Prune, PollsCancelWhileSearchingForCycles) {
+  // A chain 0 -> 1 -> ... -> 7 -> 7 with state 7 accepting.
+  automata::Buchi b;
+  b.transitions.assign(8, {});
+  b.accepting.assign(8, false);
+  b.accepting[7] = true;
+  for (int s = 0; s < 8; ++s) {
+    b.transitions[static_cast<std::size_t>(s)].push_back({{}, std::min(s + 1, 7)});
+  }
+  int polls = 0;
+  EXPECT_EQ(automata::prune(b, [&polls] { return ++polls < 0; }).num_states(), 8u);
+  EXPECT_GE(polls, 8);
+  int left = 3;
+  EXPECT_THROW((void)automata::prune(b, [&left] { return --left < 0; }),
+               speccc::util::CancelledError);
 }
 
 // The central property test: GPVW agrees with the trace semantics on a

@@ -205,14 +205,25 @@ TEST(BatchScheduler, BudgetExhaustionIsReportedPerTask) {
 }
 
 // The satisfiability screen polls the task budget throughout the tableau.
-// CARA-2.1.1-5 ("... in 120 seconds") abstracts to a depth-12 Next chain
-// whose tableau takes about 0.43 s in Release: about 60 ms of node
-// expansion, then the pruning pass. The alarm pair makes the row
-// inconsistent under every partition, so the screen runs.
+// A constant trace satisfies every CARA/2.1.1 requirement, so the screen
+// decides those without a tableau. The three Slow requirements have no
+// constant model: their trigger holds on both constant traces and their
+// response is a mixed conjunction. Each abstracts to a depth-12 Next chain
+// whose tableau takes about 0.13 s in Release. The alarm pair makes the
+// spec inconsistent under every partition, so the screen runs.
 TEST(BatchScheduler, BudgetInterruptsARunningSatisfiabilityScreen) {
   batch::SpecTask task{
-      "CARA/2.1.1 + alarm clash",
+      "CARA/2.1.1 + slow screen + alarm clash",
       speccc::corpus::cara_component_specs().at(1).requirements};
+  task.requirements.push_back(
+      {"Slow-1", "If the alarm is issued or the monitor is not raised, the "
+                 "high line and the low rate are detected in 120 seconds."});
+  task.requirements.push_back(
+      {"Slow-2", "If the alarm is issued or the monitor is not raised, the "
+                 "high rate and the low line are detected in 120 seconds."});
+  task.requirements.push_back(
+      {"Slow-3", "If the alarm is issued or the monitor is not raised, the "
+                 "high signal and the low sensor are detected in 120 seconds."});
   task.requirements.push_back({"Clash-1", "The alarm is issued."});
   task.requirements.push_back({"Clash-2", "The alarm is not issued."});
 
@@ -223,8 +234,8 @@ TEST(BatchScheduler, BudgetInterruptsARunningSatisfiabilityScreen) {
   ASSERT_EQ(unscreened.results.at(0).status, batch::TaskStatus::kInconsistent);
 
   options.pipeline.satisfiability_check = true;
-  // In Release, 20 ms expires during the expansion and 200 ms during the
-  // pruning pass. The bounds leave room for sanitizer builds, where the
+  // In Release, both budgets expire during the screen's tableau
+  // expansions. The bounds leave room for sanitizer builds, where the
   // stages before the screen alone can outlast 20 ms.
   const std::pair<double, double> budget_and_bound[] = {{0.02, 0.2},
                                                          {0.2, 0.3}};

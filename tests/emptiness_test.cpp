@@ -1,6 +1,7 @@
 // Tests for Buechi emptiness / LTL satisfiability with lasso witnesses.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "automata/emptiness.hpp"
@@ -49,6 +50,54 @@ TEST(Emptiness, WitnessIsAccepted) {
 TEST(Emptiness, EmptyAutomatonHasNoWitness) {
   const auto nbw = automata::ltl_to_nbw(ltl::parse("a && !a"));
   EXPECT_TRUE(automata::is_empty(nbw));
+}
+
+std::string next_chain(int depth, const std::string& body) {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += "X ";
+  return out + body;
+}
+
+void expect_same_lasso(const ltl::Lasso& a, const ltl::Lasso& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.loop_start(), b.loop_start());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.at(i), b.at(i)) << i;
+}
+
+TEST(Satisfiability, ConstantTraceWitnessesAVacuousImplication) {
+  const ltl::Formula f = ltl::parse("G (a -> " + next_chain(12, "b") + ")");
+  const auto witness = automata::satisfiable_witness(f);
+  ASSERT_TRUE(witness.has_value());
+  EXPECT_EQ(witness->lasso.size(), 1u);
+  EXPECT_TRUE(ltl::evaluate(f, witness->lasso));
+  // The all-true lasso, when the all-false one is no model.
+  const ltl::Formula g = ltl::parse("G (a || b)");
+  const auto all_true = automata::satisfiable_witness(g);
+  ASSERT_TRUE(all_true.has_value());
+  EXPECT_EQ(all_true->lasso.size(), 1u);
+  EXPECT_EQ(all_true->lasso.at(0), (ltl::Valuation{"a", "b"}));
+}
+
+TEST(Satisfiability, NoConstantModelFallsThroughToTheTableau) {
+  for (const char* text : {"F a && F !a", "G (a && !b)"}) {
+    const ltl::Formula f = ltl::parse(text);
+    const auto witness = automata::satisfiable_witness(f);
+    ASSERT_TRUE(witness.has_value()) << text;
+    EXPECT_TRUE(ltl::evaluate(f, witness->lasso)) << text;
+    const auto tableau = automata::find_accepting_lasso(automata::ltl_to_nbw(f));
+    ASSERT_TRUE(tableau.has_value()) << text;
+    expect_same_lasso(witness->lasso, tableau->lasso);
+  }
+}
+
+TEST(Satisfiability, PreRaisedCancelThrowsOnEitherPath) {
+  const std::function<bool()> cancelled = [] { return true; };
+  // Constant-witnessed, tableau-decided satisfiable, and unsatisfiable.
+  for (const char* text : {"G (a -> X b)", "F a && F !a", "a && !a"}) {
+    EXPECT_THROW((void)automata::satisfiable_witness(ltl::parse(text), cancelled),
+                 speccc::util::CancelledError)
+        << text;
+  }
 }
 
 // Property sweep: every satisfiability witness actually satisfies the
