@@ -1,10 +1,12 @@
 // Figure 2 (the syntax tree of Req-17): micro-benchmarks of the stages that
 // build it -- tokenization, tagging, grammar parsing, dependency extraction
-// and LTL generation -- followed by the reproduced tree itself.
+// and LTL generation -- plus one corpus-level lane that parses all 397
+// Table I sentences, followed by the reproduced tree itself.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 
+#include "batch/corpus_tasks.hpp"
 #include "ltl/formula.hpp"
 #include "nlp/dependency.hpp"
 #include "nlp/syntax.hpp"
@@ -47,6 +49,23 @@ void BM_ParseSentence(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseSentence);
+
+void BM_ParseTable1(benchmark::State& state) {
+  std::vector<std::string> texts;
+  for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+    for (const auto& requirement : task.requirements) {
+      texts.push_back(requirement.text);
+    }
+  }
+  for (auto _ : state) {
+    for (const std::string& text : texts) {
+      auto sentence = speccc::nlp::parse_sentence(text, lexicon());
+      benchmark::DoNotOptimize(sentence.main.clauses.size());
+    }
+  }
+  state.counters["sentences"] = static_cast<double>(texts.size());
+}
+BENCHMARK(BM_ParseTable1)->Unit(benchmark::kMicrosecond);
 
 void BM_Dependencies(benchmark::State& state) {
   const auto sentence = speccc::nlp::parse_sentence(kReq17, lexicon());

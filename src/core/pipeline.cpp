@@ -32,9 +32,11 @@ auto memoized(cache::Store* store, const Key& key, const Find& find,
 
 Pipeline::Pipeline(PipelineOptions options)
     : options_(std::move(options)),
-      lexicon_(options_.lexicon.value_or(nlp::Lexicon::builtin())),
-      dictionary_(
-          options_.dictionary.value_or(semantics::AntonymDictionary::builtin())),
+      // Build a builtin only when none is supplied: value_or's argument is
+      // built either way.
+      lexicon_(options_.lexicon ? *options_.lexicon : nlp::Lexicon::builtin()),
+      dictionary_(options_.dictionary ? *options_.dictionary
+                                      : semantics::AntonymDictionary::builtin()),
       translator_(lexicon_, dictionary_, options_.translation,
                   options_.cache.get()) {
   // Auto stage 2, refinement and the diag oracle all take

@@ -31,89 +31,70 @@ const char* pos_name(Pos pos) {
   return "?";
 }
 
-void Lexicon::add(const std::string& word, Pos pos) {
-  words_[util::to_lower(word)].insert(pos);
+const Lexicon::Entry* Lexicon::find(std::string_view word) const {
+  const auto it = words_.find(word);
+  return it == words_.end() ? nullptr : &it->second;
 }
 
-void Lexicon::add_verb(const std::string& lemma) {
-  const std::string lower = util::to_lower(lemma);
-  verb_lemmas_.insert(lower);
-  words_[lower].insert(Pos::kVerb);
+void Lexicon::add(std::string_view word, Pos pos) {
+  words_[util::to_lower(word)].pos.insert(pos);
 }
 
-void Lexicon::add_irregular_verb(const std::string& form, const std::string& lemma,
+void Lexicon::add_verb(std::string_view lemma) {
+  Entry& e = words_[util::to_lower(lemma)];
+  e.verb_lemma = true;
+  e.pos.insert(Pos::kVerb);
+}
+
+void Lexicon::add_irregular_verb(std::string_view form, std::string_view lemma,
                                  VerbForm verb_form) {
-  const std::string lower = util::to_lower(form);
-  irregular_[lower] = {util::to_lower(lemma), verb_form};
-  words_[lower].insert(Pos::kVerb);
+  Entry& e = words_[util::to_lower(form)];
+  e.irregular = VerbAnalysis{util::to_lower(lemma), verb_form};
+  e.pos.insert(Pos::kVerb);
 }
 
-bool Lexicon::known(const std::string& word) const {
-  return words_.count(util::to_lower(word)) > 0;
+std::optional<VerbAnalysis> Lexicon::analyze_verb(std::string_view word) const {
+  if (const Entry* e = find(word)) {
+    if (e->irregular.has_value()) return e->irregular;
+    if (e->verb_lemma) return VerbAnalysis{std::string(word), VerbForm::kBase};
+  }
+  return inflected_verb(word);
 }
 
-namespace {
-
-bool is_number(const std::string& word) {
-  if (word.empty()) return false;
-  for (char c : word) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
-}
-
-/// Candidate stems for an -ed / -ing inflection, most specific first.
-std::vector<std::string> strip_suffix_candidates(const std::string& word,
-                                                 const std::string& suffix) {
-  std::vector<std::string> out;
-  if (word.size() <= suffix.size() ||
-      word.substr(word.size() - suffix.size()) != suffix) {
-    return out;
-  }
-  const std::string stem = word.substr(0, word.size() - suffix.size());
-  // terminated -> terminate (re-add 'e').
-  out.push_back(stem + "e");
-  // pressed -> press.
-  out.push_back(stem);
-  // plugged -> plug (undouble final consonant).
-  if (stem.size() >= 2 && stem[stem.size() - 1] == stem[stem.size() - 2]) {
-    out.push_back(stem.substr(0, stem.size() - 1));
-  }
-  // carried -> carry (only for -ed/-es after 'i').
-  if (!stem.empty() && stem.back() == 'i') {
-    out.push_back(stem.substr(0, stem.size() - 1) + "y");
-  }
-  return out;
-}
-
-}  // namespace
-
-std::optional<VerbAnalysis> Lexicon::analyze_verb(const std::string& raw) const {
-  const std::string word = util::to_lower(raw);
-  const auto irr = irregular_.find(word);
-  if (irr != irregular_.end()) return irr->second;
-  if (verb_lemmas_.count(word) > 0) return VerbAnalysis{word, VerbForm::kBase};
-
-  struct Rule {
-    const char* suffix;
-    VerbForm form;
-  };
-  static const Rule kRules[] = {
+std::optional<VerbAnalysis> Lexicon::inflected_verb(std::string_view word) const {
+  static constexpr std::pair<std::string_view, VerbForm> kRules[] = {
       {"ing", VerbForm::kGerund},
       {"ed", VerbForm::kPastParticiple},
       {"es", VerbForm::kThirdPerson},
       {"s", VerbForm::kThirdPerson},
   };
-  for (const Rule& rule : kRules) {
-    for (const std::string& stem : strip_suffix_candidates(word, rule.suffix)) {
-      if (verb_lemmas_.count(stem) > 0) return VerbAnalysis{stem, rule.form};
+  std::string buffer;  // candidate stems that are not a prefix of the word
+  const auto lemma = [&](std::string_view stem) {
+    const Entry* e = find(stem);
+    return e != nullptr && e->verb_lemma;
+  };
+  for (const auto& [suffix, form] : kRules) {
+    if (word.size() <= suffix.size() || !word.ends_with(suffix)) continue;
+    const std::string_view stem = word.substr(0, word.size() - suffix.size());
+    // Candidate stems, most specific first: terminated -> terminate
+    // (re-add 'e'), pressed -> press, plugged -> plug (undouble the final
+    // consonant), carried -> carry ('i' -> 'y').
+    buffer.assign(stem).push_back('e');
+    if (lemma(buffer)) return VerbAnalysis{buffer, form};
+    if (lemma(stem)) return VerbAnalysis{std::string(stem), form};
+    const std::string_view shorter = stem.substr(0, stem.size() - 1);
+    if (stem.size() >= 2 && stem.back() == shorter.back() && lemma(shorter)) {
+      return VerbAnalysis{std::string(shorter), form};
+    }
+    if (stem.back() == 'i') {
+      buffer.assign(shorter).push_back('y');
+      if (lemma(buffer)) return VerbAnalysis{buffer, form};
     }
   }
   return std::nullopt;
 }
 
-std::optional<unsigned> Lexicon::time_unit_seconds(const std::string& raw) const {
-  const std::string word = util::to_lower(raw);
+std::optional<unsigned> Lexicon::time_unit_seconds(std::string_view word) const {
   if (word == "second" || word == "seconds") return 1;
   if (word == "minute" || word == "minutes") return 60;
   if (word == "hour" || word == "hours") return 3600;
@@ -121,23 +102,26 @@ std::optional<unsigned> Lexicon::time_unit_seconds(const std::string& raw) const
   return std::nullopt;
 }
 
-std::set<Pos> Lexicon::lookup(const std::string& raw) const {
-  const std::string word = util::to_lower(raw);
-  std::set<Pos> out;
-
-  const auto it = words_.find(word);
-  if (it != words_.end()) out = it->second;
-  if (analyze_verb(word).has_value()) out.insert(Pos::kVerb);
-  if (is_number(word)) out.insert(Pos::kNumber);
+PosSet Lexicon::lookup(std::string_view word) const {
+  PosSet out;
+  if (const Entry* e = find(word)) out = e->pos;
+  // A listed irregular form or lemma already carries kVerb.
+  if (!out.contains(Pos::kVerb) && inflected_verb(word).has_value()) {
+    out.insert(Pos::kVerb);
+  }
+  if (!word.empty() && std::all_of(word.begin(), word.end(), [](char c) {
+        return std::isdigit(static_cast<unsigned char>(c)) != 0;
+      })) {
+    out.insert(Pos::kNumber);
+  }
   if (time_unit_seconds(word).has_value()) out.insert(Pos::kTimeUnit);
   if (!out.empty()) return out;
 
   // Suffix heuristics for open-class words outside the vocabulary.
-  if (util::ends_with(word, "able") || util::ends_with(word, "ible") ||
-      util::ends_with(word, "ive") || util::ends_with(word, "ous") ||
-      util::ends_with(word, "al") || util::ends_with(word, "ful")) {
+  if (word.ends_with("able") || word.ends_with("ible") || word.ends_with("ive") ||
+      word.ends_with("ous") || word.ends_with("al") || word.ends_with("ful")) {
     out.insert(Pos::kAdjective);
-  } else if (util::ends_with(word, "ly")) {
+  } else if (word.ends_with("ly")) {
     out.insert(Pos::kAdverb);
   } else {
     out.insert(Pos::kNoun);
@@ -145,38 +129,43 @@ std::set<Pos> Lexicon::lookup(const std::string& raw) const {
   return out;
 }
 
+std::vector<std::pair<std::string_view, const Lexicon::Entry*>> Lexicon::entries()
+    const {
+  std::vector<std::pair<std::string_view, const Entry*>> out;
+  out.reserve(words_.size());
+  for (const auto& [word, e] : words_) out.emplace_back(word, &e);
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return out;
+}
+
 util::Digest Lexicon::fingerprint() const {
-  // Sort the unordered containers so the digest is a pure function of the
-  // vocabulary's content, not of hashing or insertion order.
+  // Sorted, so the digest is a pure function of the vocabulary's content,
+  // not of hashing or insertion order. The byte layout predates the one
+  // table: words with their POS sets, then the verb lemmas, then the
+  // irregular forms, each list sorted.
   util::DigestBuilder builder("lexicon");
-
-  std::vector<const std::string*> words;
-  words.reserve(words_.size());
-  for (const auto& [word, _] : words_) words.push_back(&word);
-  std::sort(words.begin(), words.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  builder.u64(words.size());
-  for (const std::string* word : words) {
-    builder.str(*word);
-    const std::set<Pos>& poss = words_.at(*word);
-    builder.u64(poss.size());
-    for (Pos pos : poss) builder.u64(static_cast<std::uint64_t>(pos));
+  const auto sorted = entries();
+  builder.u64(sorted.size());
+  std::size_t lemmas = 0;
+  std::size_t irregulars = 0;
+  for (const auto& [word, e] : sorted) {
+    builder.str(word);
+    builder.u64(static_cast<std::uint64_t>(e->pos.size()));
+    e->pos.for_each([&](Pos pos) { builder.u64(static_cast<std::uint64_t>(pos)); });
+    lemmas += e->verb_lemma ? 1 : 0;
+    irregulars += e->irregular.has_value() ? 1 : 0;
   }
-
-  builder.u64(verb_lemmas_.size());
-  for (const std::string& lemma : verb_lemmas_) builder.str(lemma);
-
-  std::vector<const std::string*> forms;
-  forms.reserve(irregular_.size());
-  for (const auto& [form, _] : irregular_) forms.push_back(&form);
-  std::sort(forms.begin(), forms.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  builder.u64(forms.size());
-  for (const std::string* form : forms) {
-    const VerbAnalysis& analysis = irregular_.at(*form);
-    builder.str(*form);
-    builder.str(analysis.lemma);
-    builder.u64(static_cast<std::uint64_t>(analysis.form));
+  builder.u64(lemmas);
+  for (const auto& [word, e] : sorted) {
+    if (e->verb_lemma) builder.str(word);
+  }
+  builder.u64(irregulars);
+  for (const auto& [word, e] : sorted) {
+    if (!e->irregular.has_value()) continue;
+    builder.str(word);
+    builder.str(e->irregular->lemma);
+    builder.u64(static_cast<std::uint64_t>(e->irregular->form));
   }
   return builder.finalize();
 }

@@ -1,7 +1,7 @@
 #include "nlp/syntax.hpp"
 
 #include <algorithm>
-#include <set>
+#include <span>
 #include <sstream>
 
 #include "util/diagnostics.hpp"
@@ -17,7 +17,9 @@ std::string NounPhrase::joined() const {
 
 namespace {
 
-using Tokens = std::vector<Token>;
+/// A range of the one token vector of a sentence: the grammar passes
+/// segments, pieces and clauses around as views, never as copies.
+using Tokens = std::span<const Token>;
 
 bool is_condition_subordinator(const std::string& w) {
   return w == "if" || w == "when" || w == "whenever" || w == "once" ||
@@ -32,10 +34,6 @@ bool starts_predicate(const Token& t) {
          t.lemma != "be";
 }
 
-bool has_predicate(const Tokens& segment) {
-  return std::any_of(segment.begin(), segment.end(), starts_predicate);
-}
-
 [[noreturn]] void fail(const std::string& text, const std::string& why) {
   throw util::ParseError("ungrammatical requirement: " + why + " in \"" + text +
                          "\"");
@@ -44,8 +42,8 @@ bool has_predicate(const Tokens& segment) {
 /// Parse one clause from a token span.
 class ClauseParser {
  public:
-  ClauseParser(const Tokens& tokens, const std::string& text)
-      : tokens_(tokens), text_(text) {}
+  ClauseParser(Tokens tokens, const std::string& text, const Lexicon& lexicon)
+      : tokens_(tokens), text_(text), lexicon_(lexicon) {}
 
   Clause run() {
     Clause clause;
@@ -82,8 +80,14 @@ class ClauseParser {
   bool peek(Pos pos) const {
     return pos_ < tokens_.size() && tokens_[pos_].pos == pos;
   }
-  std::string peek_text() const {
-    return pos_ < tokens_.size() ? tokens_[pos_].text : "";
+  const std::string& peek_text() const {
+    static const std::string kNone;
+    return pos_ < tokens_.size() ? tokens_[pos_].text : kNone;
+  }
+  /// A conjunction that coordinates phrases rather than starting a clause.
+  bool peek_coordination() const {
+    return peek(Pos::kConjunction) && pos_ + 1 < tokens_.size() &&
+           !starts_predicate(tokens_[pos_ + 1]);
   }
 
   void parse_subjects(Clause& clause) {
@@ -94,13 +98,9 @@ class ClauseParser {
       }
       clause.subjects.push_back(std::move(np));
       // Subject coordination only before the predicate.
-      if (peek(Pos::kConjunction) && pos_ + 1 < tokens_.size() &&
-          !starts_predicate(tokens_[pos_ + 1])) {
-        clause.subject_conjunction = peek_text();
-        ++pos_;
-        continue;
-      }
-      break;
+      if (!peek_coordination()) break;
+      clause.subject_conjunction = peek_text();
+      ++pos_;
     }
   }
 
@@ -139,7 +139,7 @@ class ClauseParser {
 
     // Lexical copula-like verb ("remains low") or active verb.
     if (peek(Pos::kVerb) && tokens_[pos_].lemma != "be") {
-      const Token verb = tokens_[pos_];
+      pred.verb_lemma = tokens_[pos_].lemma;
       ++pos_;
       if (peek(Pos::kNegation)) {
         pred.negated = true;
@@ -148,13 +148,11 @@ class ClauseParser {
       if (peek(Pos::kAdjective) || peek(Pos::kAdverb)) {
         // "remains low": copular complement.
         pred.kind = PredicateKind::kCopula;
-        pred.verb_lemma = verb.lemma;
         collect_complements(pred);
         return;
       }
       // Active verb, optional object noun phrase.
       pred.kind = PredicateKind::kActive;
-      pred.verb_lemma = verb.lemma;
       if (pos_ < tokens_.size() && !peek(Pos::kPreposition)) {
         NounPhrase object = parse_noun_phrase();
         if (!object.words.empty()) pred.objects.push_back(std::move(object));
@@ -189,15 +187,11 @@ class ClauseParser {
         NounPhrase object = parse_noun_phrase();
         if (object.words.empty()) fail(text_, "missing preposition object");
         pred.objects.push_back(std::move(object));
-        if (peek(Pos::kConjunction) && pos_ + 1 < tokens_.size() &&
-            !starts_predicate(tokens_[pos_ + 1])) {
-          pred.object_conjunction = peek_text();
-          ++pos_;
-          // Optionally repeated preposition: "in room 1 or in room 2".
-          if (peek(Pos::kPreposition)) ++pos_;
-          continue;
-        }
-        break;
+        if (!peek_coordination()) break;
+        pred.object_conjunction = peek_text();
+        ++pos_;
+        // Optionally repeated preposition: "in room 1 or in room 2".
+        if (peek(Pos::kPreposition)) ++pos_;
       }
       return;
     }
@@ -207,13 +201,10 @@ class ClauseParser {
       return;
     }
     if (peek(Pos::kVerb)) {
-      const Token verb = tokens_[pos_];
+      const Token& verb = tokens_[pos_];
       ++pos_;
-      if (verb.verb_form == VerbForm::kGerund) {
-        pred.kind = PredicateKind::kProgressive;
-      } else {
-        pred.kind = PredicateKind::kPassive;
-      }
+      pred.kind = verb.verb_form == VerbForm::kGerund ? PredicateKind::kProgressive
+                                                      : PredicateKind::kPassive;
       pred.verb_lemma = verb.lemma;
       swallow_particle();
       return;
@@ -229,98 +220,84 @@ class ClauseParser {
     swallow_particle();
   }
 
+  /// "in" followed by a number: a time constraint, never a particle.
+  bool at_constraint(std::size_t at) const {
+    return at + 1 < tokens_.size() && tokens_[at].pos == Pos::kPreposition &&
+           tokens_[at].text == "in" && tokens_[at + 1].pos == Pos::kNumber;
+  }
+
   /// Trailing particle of a phrasal verb: a preposition or particle-like
   /// adverbial directly after the verb with nothing but a time constraint
   /// (or nothing) following ("is plugged in", "is powered on", "is turned
   /// off", "is turned on in 3 seconds").
   void swallow_particle() {
-    static const std::set<std::string> kParticles = {"on", "off", "in",
-                                                     "out", "up",  "down"};
+    const std::string& w = peek_text();
     const bool particle_like =
         peek(Pos::kPreposition) ||
         ((peek(Pos::kAdjective) || peek(Pos::kAdverb)) &&
-         kParticles.count(peek_text()) > 0);
-    if (!particle_like) return;
-    // "in 3 seconds" is a constraint, never a particle.
-    if (peek_text() == "in" && pos_ + 1 < tokens_.size() &&
-        tokens_[pos_ + 1].pos == Pos::kNumber) {
-      return;
-    }
-    const bool at_end = pos_ + 1 >= tokens_.size();
-    const bool before_constraint =
-        pos_ + 2 < tokens_.size() && tokens_[pos_ + 1].pos == Pos::kPreposition &&
-        tokens_[pos_ + 1].text == "in" && tokens_[pos_ + 2].pos == Pos::kNumber;
-    if (at_end || before_constraint) ++pos_;
+         (w == "on" || w == "off" || w == "in" || w == "out" || w == "up" ||
+          w == "down"));
+    if (!particle_like || at_constraint(pos_)) return;
+    if (pos_ + 1 >= tokens_.size() || at_constraint(pos_ + 1)) ++pos_;
   }
 
   void parse_constraint(Clause& clause) {
     // "in t seconds".
-    if (peek(Pos::kPreposition) && peek_text() == "in" &&
-        pos_ + 1 < tokens_.size() && tokens_[pos_ + 1].pos == Pos::kNumber) {
+    if (!at_constraint(pos_)) return;
+    const std::string& digits = tokens_[pos_ + 1].text;
+    pos_ += 2;
+    const std::string* unit = nullptr;
+    TimeConstraint c;
+    if (peek(Pos::kTimeUnit)) {
+      unit = &peek_text();
+      c.unit_seconds = lexicon_.time_unit_seconds(*unit).value_or(1);
       ++pos_;
-      const std::string& digits = tokens_[pos_].text;
-      std::string written = "in " + digits;
-      ++pos_;
-      TimeConstraint c;
-      if (peek(Pos::kTimeUnit)) {
-        // Unit multiplier resolved against the lexicon by the caller; we
-        // inline the standard units here to keep the parser self-contained.
-        const std::string u = peek_text();
-        if (u == "minute" || u == "minutes") c.unit_seconds = 60;
-        else if (u == "hour" || u == "hours") c.unit_seconds = 3600;
-        else c.unit_seconds = 1;
-        written += " " + u;
-        ++pos_;
-      }
-      // Digit by digit, stopping at the cap, so no literal can overflow.
-      std::uint64_t value = 0;
-      for (const char digit : digits) {
-        value = value * 10 + static_cast<std::uint64_t>(digit - '0');
-        if (!within_deadline_cap(value, c.unit_seconds)) {
-          throw util::ParseError(
-              "time constraint \"" + written + "\" exceeds the limit of " +
-              std::to_string(kMaxConstraintSeconds) + " seconds in \"" +
-              text_ + "\"");
-        }
-      }
-      c.value = static_cast<unsigned>(value);
-      clause.constraint = c;
     }
+    // Digit by digit, stopping at the cap, so no literal can overflow.
+    std::uint64_t value = 0;
+    for (const char digit : digits) {
+      value = value * 10 + static_cast<std::uint64_t>(digit - '0');
+      if (!within_deadline_cap(value, c.unit_seconds)) {
+        throw util::ParseError(
+            "time constraint \"in " + digits + (unit ? " " + *unit : "") +
+            "\" exceeds the limit of " + std::to_string(kMaxConstraintSeconds) +
+            " seconds in \"" + text_ + "\"");
+      }
+    }
+    c.value = static_cast<unsigned>(value);
+    clause.constraint = c;
   }
 
-  const Tokens& tokens_;
+  Tokens tokens_;
   const std::string& text_;
+  const Lexicon& lexicon_;
   std::size_t pos_ = 0;
 };
 
 /// Split the clause-internal coordination: "a is issued and b is provided".
 /// Returns (connective, clause-token-span) pairs.
-std::vector<std::pair<std::string, Tokens>> split_coordinated(const Tokens& tokens) {
+std::vector<std::pair<std::string, Tokens>> split_coordinated(Tokens tokens) {
   std::vector<std::pair<std::string, Tokens>> out;
-  Tokens current;
+  std::size_t begin = 0;
   std::string connective;
   bool predicate_seen = false;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const Token& t = tokens[i];
-    if (t.pos == Pos::kConjunction && predicate_seen) {
-      // Conjunction after a complete predicate starts a new clause -- but
-      // only when a predicate actually follows; otherwise it coordinates
-      // objects or complements ("is in room 1 or room 2").
-      const bool clause_follows =
-          std::any_of(tokens.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                      tokens.end(), starts_predicate);
-      if (clause_follows) {
-        out.push_back({connective, current});
-        current.clear();
-        connective = t.text;
-        predicate_seen = false;
-        continue;
-      }
+    // A conjunction after a complete predicate starts a new clause -- but
+    // only when a predicate actually follows; otherwise it coordinates
+    // objects or complements ("is in room 1 or room 2").
+    if (t.pos == Pos::kConjunction && predicate_seen &&
+        std::any_of(tokens.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                    tokens.end(), starts_predicate)) {
+      out.emplace_back(connective, tokens.subspan(begin, i - begin));
+      begin = i + 1;
+      connective = t.text;
+      predicate_seen = false;
+      continue;
     }
     if (starts_predicate(t)) predicate_seen = true;
-    current.push_back(t);
   }
-  if (!current.empty()) out.push_back({connective, current});
+  if (tokens.size() > begin) out.emplace_back(connective, tokens.subspan(begin));
   return out;
 }
 
@@ -330,92 +307,79 @@ Sentence parse_sentence(const std::string& text, const Lexicon& lexicon) {
   Sentence sentence;
   sentence.text = text;
 
-  Tokens tokens = analyze(text, lexicon);
+  std::vector<Token> tokens = analyze(text, lexicon);
   // Drop the final period.
   while (!tokens.empty() && tokens.back().pos == Pos::kPeriod) tokens.pop_back();
   if (tokens.empty()) fail(text, "empty sentence");
 
-  // 1. Split into comma segments.
-  std::vector<Tokens> segments;
-  Tokens current;
-  for (const Token& t : tokens) {
-    if (t.pos == Pos::kComma) {
-      if (!current.empty()) segments.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(t);
-    }
-  }
-  if (!current.empty()) segments.push_back(std::move(current));
-
-  // 2. Merge predicate-less conjunction segments into their successor
-  //    ("the arterial line, or pulse wave or cuff is lost").
-  for (std::size_t i = 0; i + 1 < segments.size();) {
-    if (!has_predicate(segments[i]) && !segments[i].empty()) {
-      Tokens merged = segments[i];
-      segments[i + 1].insert(segments[i + 1].begin(), merged.begin(), merged.end());
-      segments.erase(segments.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-
-  // 3. Split segments at mid-segment subordinators ("... until it is
-  //    pressed", "... whenever the LSTAT is powered on").
-  std::vector<Tokens> pieces;
-  for (Tokens& segment : segments) {
-    Tokens cur;
-    bool predicate_seen = false;
-    for (const Token& t : segment) {
-      if (t.pos == Pos::kSubordinator && t.text != "next" && predicate_seen) {
-        pieces.push_back(std::move(cur));
-        cur.clear();
-        cur.push_back(t);
-        predicate_seen = false;
-        continue;
+  // 1. One pass splits the tokens into pieces [begin, end), compacting the
+  //    commas out of `tokens`:
+  //    * a comma ends a piece only after a comma segment with a predicate;
+  //      a segment without one merges into its successor ("the arterial
+  //      line, or pulse wave or cuff is lost");
+  //    * a subordinator after a predicate starts a new piece ("... until it
+  //      is pressed", "... whenever the LSTAT is powered on").
+  std::vector<std::pair<std::size_t, std::size_t>> pieces;
+  std::size_t kept = 0;
+  std::size_t begin = 0;
+  bool segment_predicate = false;
+  bool piece_predicate = false;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const Pos pos = tokens[i].pos;
+    if (pos == Pos::kComma) {
+      if (segment_predicate) {
+        pieces.emplace_back(begin, kept);
+        begin = kept;
+        segment_predicate = piece_predicate = false;
       }
-      if (starts_predicate(t)) predicate_seen = true;
-      cur.push_back(t);
+      continue;
     }
-    if (!cur.empty()) pieces.push_back(std::move(cur));
+    if (pos == Pos::kSubordinator && piece_predicate && tokens[i].text != "next") {
+      pieces.emplace_back(begin, kept);
+      begin = kept;
+      piece_predicate = false;
+    }
+    if (starts_predicate(tokens[i])) segment_predicate = piece_predicate = true;
+    if (kept != i) tokens[kept] = std::move(tokens[i]);
+    ++kept;
   }
+  if (kept > begin) pieces.emplace_back(begin, kept);
+  tokens.resize(kept);
 
-  // 4. Assemble clause groups.
+  // 2. Assemble clause groups.
   ClauseGroup* current_group = nullptr;
   // Append the coordinated clauses of `span` to `group`; `lead` is the
   // connective that linked the comma segment to the group ("" for the first
   // segment of a group).
-  const auto parse_into = [&](ClauseGroup& group, const Tokens& span,
+  const auto parse_into = [&](ClauseGroup& group, Tokens span,
                               const std::string& lead) {
     bool first_part = true;
-    for (auto& [conn, clause_tokens] : split_coordinated(span)) {
+    for (const auto& [conn, clause_tokens] : split_coordinated(span)) {
       std::string effective;
       if (!group.clauses.empty()) {
         effective = first_part ? (lead.empty() ? "and" : lead)
                                : (conn.empty() ? "and" : conn);
       }
-      ClauseParser parser(clause_tokens, text);
-      group.clauses.push_back({effective, parser.run()});
+      group.clauses.emplace_back(std::move(effective),
+                                 ClauseParser(clause_tokens, text, lexicon).run());
       first_part = false;
     }
   };
 
   bool main_seen = false;
-  for (Tokens& piece : pieces) {
-    if (piece.empty()) continue;
+  for (const auto& [first, last] : pieces) {
+    Tokens span = Tokens(tokens).subspan(first, last - first);
     std::string connective;
-    std::size_t start = 0;
-    if (piece[start].pos == Pos::kConjunction) {
-      connective = piece[start].text;
-      ++start;
+    if (span.front().pos == Pos::kConjunction) {
+      connective = span.front().text;
+      span = span.subspan(1);
     }
     std::string subordinator;
-    if (start < piece.size() && piece[start].pos == Pos::kSubordinator &&
-        piece[start].text != "next") {
-      subordinator = piece[start].text;
-      ++start;
+    if (!span.empty() && span.front().pos == Pos::kSubordinator &&
+        span.front().text != "next") {
+      subordinator = span.front().text;
+      span = span.subspan(1);
     }
-    Tokens span(piece.begin() + static_cast<std::ptrdiff_t>(start), piece.end());
     if (span.empty()) fail(text, "empty clause group");
 
     if (subordinator == "until" || subordinator == "before") {

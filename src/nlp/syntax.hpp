@@ -19,6 +19,11 @@
 //   * capitalized mid-sentence words are proper names and stay part of the
 //     subject ("Air Ok signal"), while lower-case attributive adjectives are
 //     modifiers subject to semantic reasoning ("a valid blood pressure").
+//
+// The parser tags the sentence into one token vector and works on index
+// ranges (std::span) of it: comma segments, subordinate pieces and
+// coordinated clauses are views, and only the returned Sentence owns
+// strings.
 #pragma once
 
 #include <cstdint>

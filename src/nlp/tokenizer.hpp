@@ -1,4 +1,8 @@
 // Tokenization and context-rule POS tagging for requirement sentences.
+//
+// Tagging is the only place a word is lower-cased: each Token's text is
+// lower-cased once, and every lexicon query (lookup, analyze_verb) takes
+// that text as is.
 #pragma once
 
 #include <string>
@@ -29,7 +33,7 @@ struct Token {
 [[nodiscard]] std::vector<Token> tag(const std::vector<std::string>& words,
                                      const Lexicon& lexicon);
 
-/// Convenience: tokenize + tag.
+/// tag(tokenize(sentence)), without the intermediate word strings.
 [[nodiscard]] std::vector<Token> analyze(const std::string& sentence,
                                          const Lexicon& lexicon);
 

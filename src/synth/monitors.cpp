@@ -220,18 +220,19 @@ bdd::Bdd prop_to_bdd(bdd::Manager& mgr, Compiler& compiler, Formula f) {
   }
 }
 
-bool mentions_only(const ltl::Formula& f, const IoSignature& signature) {
-  const auto atoms = f.atoms();
-  for (const std::string& a : atoms) {
-    const bool in_inputs = std::find(signature.inputs.begin(),
-                                     signature.inputs.end(),
-                                     a) != signature.inputs.end();
-    const bool in_outputs = std::find(signature.outputs.begin(),
-                                      signature.outputs.end(),
-                                      a) != signature.outputs.end();
-    if (!in_inputs && !in_outputs) return false;
+/// Whether every atom of f is in the signature: a walk over f's leaves,
+/// with no atom set built per formula. Unary chains (X^d) are walked in a
+/// loop, so only binary nesting recurses.
+bool mentions_only(Formula f, const IoSignature& signature) {
+  while (f.arity() == 1) f = f.child(0);
+  if (f.op() != Op::kAp) {
+    return std::all_of(f.children().begin(), f.children().end(),
+                       [&](Formula c) { return mentions_only(c, signature); });
   }
-  return true;
+  const auto listed = [&](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), f.ap_name()) != names.end();
+  };
+  return listed(signature.inputs) || listed(signature.outputs);
 }
 
 }  // namespace

@@ -117,9 +117,9 @@ TEST(Loaders, LexiconExtension) {
       "wobbly adjective\n");
   auto lexicon = speccc::nlp::Lexicon::builtin();
   corpus::load_lexicon(in, lexicon);
-  EXPECT_TRUE(lexicon.lookup("flux").count(speccc::nlp::Pos::kNoun) > 0);
+  EXPECT_TRUE(lexicon.lookup("flux").contains(speccc::nlp::Pos::kNoun));
   EXPECT_TRUE(lexicon.analyze_verb("defragged").has_value());
-  EXPECT_TRUE(lexicon.lookup("wobbly").count(speccc::nlp::Pos::kAdjective) > 0);
+  EXPECT_TRUE(lexicon.lookup("wobbly").contains(speccc::nlp::Pos::kAdjective));
 }
 
 TEST(Loaders, LexiconBadPosThrows) {
