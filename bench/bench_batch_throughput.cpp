@@ -3,7 +3,9 @@
 // worker counts. The specs-per-second counter is the headline number the
 // CI bench job tracks (BENCH_latest.json); the jobs=1 row is the
 // sequential baseline the >1 rows are compared against for the batch
-// speedup. BM_ScreenInconsistentDepth12 prices the satisfiability screen,
+// speedup. BM_BatchPlanted is the planted-fault shape, where every spec is
+// refined and every worker interns formulas into the one shared arena.
+// BM_ScreenInconsistentDepth12 prices the satisfiability screen,
 // which only inconsistent specs pay for.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include "batch/corpus_tasks.hpp"
 #include "corpus/cara.hpp"
 #include "corpus/generator.hpp"
+#include "difftest/harness.hpp"
 
 namespace {
 
@@ -55,6 +58,23 @@ void BM_BatchGenerated(benchmark::State& state) {
   run_batch(state, tasks);
 }
 BENCHMARK(BM_BatchGenerated)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// 200 planted-fault specs of seed 1 without "in N seconds" sentences (the
+/// shape of specbench's planted workload): each is inconsistent, so each
+/// runs stage 3 -- a MUS shrink and the partition flips -- after stage 2.
+void BM_BatchPlanted(benchmark::State& state) {
+  speccc::difftest::FaultConfig config;
+  config.base.timed_percent = 0;
+  std::vector<SpecTask> tasks;
+  for (int i = 0; i < 200; ++i) {
+    speccc::difftest::PlantedSpec spec =
+        speccc::difftest::generated_planted_spec(1, i, config);
+    tasks.push_back({std::move(spec.name), std::move(spec.requirements)});
+  }
+  run_batch(state, tasks);
+}
+BENCHMARK(BM_BatchPlanted)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One inconsistent spec whose screen meets depth-12 Next chains that no

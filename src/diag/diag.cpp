@@ -5,9 +5,12 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <unordered_map>
 
+#include "bdd/bdd.hpp"
+#include "game/symbolic.hpp"
+#include "ltl/patterns.hpp"
 #include "synth/monitors.hpp"
-
 #include "util/diagnostics.hpp"
 
 namespace speccc::diag {
@@ -121,6 +124,38 @@ Diagnosis diagnose(std::size_t num_requirements, const CoreOracle& oracle,
   return diagnosis;
 }
 
+namespace {
+
+std::size_t combine(std::size_t seed, std::size_t v) {
+  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+
+/// `base` with every requirement atom (`names`, sorted) moved to the sides
+/// `sides` gives it; the other propositions keep their places. Both lists
+/// come out in name order.
+synth::IoSignature with_sides(const synth::IoSignature& base,
+                              const std::vector<std::string>& names,
+                              const SynthesisOracle::Sides& sides) {
+  synth::IoSignature out;
+  const auto keep_others = [&names](const std::vector<std::string>& from,
+                                    std::vector<std::string>& to) {
+    for (const std::string& name : from) {
+      if (!std::binary_search(names.begin(), names.end(), name)) to.push_back(name);
+    }
+  };
+  keep_others(base.inputs, out.inputs);
+  keep_others(base.outputs, out.outputs);
+  for (std::size_t id = 0; id < names.size(); ++id) {
+    if (sides[id] & 1) out.inputs.push_back(names[id]);
+    if (sides[id] & 2) out.outputs.push_back(names[id]);
+  }
+  std::sort(out.inputs.begin(), out.inputs.end());
+  std::sort(out.outputs.begin(), out.outputs.end());
+  return out;
+}
+
+}  // namespace
+
 /// Shared by every view of one SynthesisOracle.
 struct SynthesisOracle::State {
   std::vector<ltl::Formula> requirements;
@@ -130,8 +165,23 @@ struct SynthesisOracle::State {
   std::vector<std::string> names;
   /// props[i]: the sorted ids of requirements[i]'s atoms.
   std::vector<std::vector<std::uint32_t>> props;
-  /// Is requirements[i] in the symbolic engine's pattern fragment?
-  std::vector<bool> in_fragment;
+
+  /// The one manager every monitor and every component game lives in.
+  bdd::Manager manager;
+  /// monitors[i]: requirements[i]'s compiled monitor; empty when it is
+  /// outside the pattern fragment.
+  std::vector<std::optional<synth::Monitor>> monitors;
+  /// BDD variable of each atom id (-1 when no monitor reads the atom).
+  std::vector<int> prop_var;
+  /// Is every requirement in the fragment? Then only an atom missing from
+  /// a signature sends a query to the monolithic fallback.
+  bool all_monitored = true;
+
+  /// Can some query of a view with these sides reach the monolithic
+  /// fallback, the only reader of the view's signature?
+  [[nodiscard]] bool reaches_fallback(const Sides& sides) const {
+    return !all_monitored || std::find(sides.begin(), sides.end(), 0) != sides.end();
+  }
 
   /// One solved component: its sorted requirement indices, its sorted
   /// (id << 2 | side) proposition codes -- side bit 0 is "an input", bit 1
@@ -140,15 +190,42 @@ struct SynthesisOracle::State {
     std::vector<std::size_t> indices;
     std::vector<std::uint32_t> codes;
     bool realizable = false;
+
+    [[nodiscard]] std::size_t key_hash() const {
+      std::size_t h = indices.size();
+      for (std::size_t i : indices) h = combine(h, i);
+      for (std::uint32_t c : codes) h = combine(h, c);
+      return h;
+    }
   };
   std::vector<Entry> memo;
+  /// Exact-key index into memo: key_hash() -> positions.
+  std::unordered_multimap<std::size_t, std::size_t> exact;
 
-  /// Does the memo decide a component? Consistency is monotone under
-  /// subsets with the sides fixed: a component inside a realizable entry
-  /// is realizable, one holding an unrealizable entry is unrealizable.
-  [[nodiscard]] std::optional<bool> recall(const Entry& component) const {
+  // Per-query scratch, reused across queries.
+  std::vector<std::size_t> parent;
+  std::vector<std::size_t> owner;
+  std::vector<std::size_t> number;
+  std::vector<Entry> components;
+  std::vector<std::optional<bool>> known;
+  std::vector<std::pair<int, bool>> initial;
+
+  /// Does the memo decide a component? First the exact key; then
+  /// monotonicity under subsets with the sides fixed: a component inside a
+  /// realizable entry is realizable, one holding an unrealizable entry is
+  /// unrealizable.
+  [[nodiscard]] std::optional<bool> recall(const Entry& component,
+                                           std::size_t hash) const {
+    const auto [first, last] = exact.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      const Entry& e = memo[it->second];
+      if (e.indices == component.indices && e.codes == component.codes) {
+        return e.realizable;
+      }
+    }
     const auto within = [](const Entry& inner, const Entry& outer) {
-      return std::includes(outer.indices.begin(), outer.indices.end(),
+      return inner.indices.size() <= outer.indices.size() &&
+             std::includes(outer.indices.begin(), outer.indices.end(),
                            inner.indices.begin(), inner.indices.end()) &&
              std::includes(outer.codes.begin(), outer.codes.end(),
                            inner.codes.begin(), inner.codes.end());
@@ -161,6 +238,7 @@ struct SynthesisOracle::State {
     return std::nullopt;
   }
 
+  /// One monolithic synth::synthesize call on `indices`.
   [[nodiscard]] bool synthesize(const std::vector<std::size_t>& indices,
                                 const synth::IoSignature& signature) const {
     std::vector<ltl::Formula> formulas;
@@ -170,19 +248,50 @@ struct SynthesisOracle::State {
            synth::Realizability::kRealizable;
   }
 
-  /// Is the conjunction of `subset` realizable under `signature`, whose
-  /// proposition sides are `side` (indexed by id)?
+  /// Solve one component: the game of its members' precompiled monitors,
+  /// with each proposition quantified on the side its code names.
+  [[nodiscard]] bool solve(const Entry& component) {
+    game::SymbolicGame game;
+    game.manager = &manager;
+    game.safe = manager.bdd_true();
+    initial.clear();
+    for (std::size_t i : component.indices) {
+      const synth::Monitor& m = *monitors[i];
+      game.safe = manager.bdd_and(game.safe, m.safe);
+      game.state_vars.insert(game.state_vars.end(), m.state_vars.begin(),
+                             m.state_vars.end());
+      game.next_state.insert(game.next_state.end(), m.next_state.begin(),
+                             m.next_state.end());
+      game.buchi.insert(game.buchi.end(), m.buchi.begin(), m.buchi.end());
+      for (std::size_t b = 0; b < m.state_vars.size(); ++b) {
+        initial.emplace_back(m.state_vars[b], m.initial_bits[b]);
+      }
+    }
+    for (std::uint32_t code : component.codes) {
+      const int v = prop_var[code >> 2];
+      if (v < 0) continue;  // no monitor reads it: unconstrained
+      if (code & 1) game.input_vars.push_back(v);
+      if (code & 2) game.output_vars.push_back(v);
+    }
+    game.initial = manager.cube(initial);
+    return game::solve(game, options.symbolic.cancelled).realizable;
+  }
+
+  /// Is the conjunction of `subset` realizable when atom id p has side
+  /// sides[p]? `signature` (the same split, with any propositions the
+  /// requirements never mention) is only read by the monolithic fallback,
+  /// and is null when no query can reach it.
   [[nodiscard]] bool realizable(const std::vector<std::size_t>& subset,
-                                const synth::IoSignature& signature,
-                                const std::vector<std::uint32_t>& side) {
+                                const synth::IoSignature* signature,
+                                const Sides& sides) {
     bool decomposable = true;
     for (std::size_t i : subset) {
       speccc_check(i < requirements.size(), "oracle subset index out of range");
-      decomposable = decomposable && in_fragment[i] &&
+      decomposable = decomposable && monitors[i].has_value() &&
                      std::all_of(props[i].begin(), props[i].end(),
-                                 [&side](std::uint32_t p) { return side[p] != 0; });
+                                 [&sides](std::uint32_t p) { return sides[p] != 0; });
     }
-    if (!decomposable) return synthesize(subset, signature);
+    if (!decomposable) return synthesize(subset, *signature);
     // Memo hits run no engine, so poll here: every query stays a
     // cancellation point.
     if (options.symbolic.cancelled && options.symbolic.cancelled()) {
@@ -191,14 +300,14 @@ struct SynthesisOracle::State {
 
     // Union-find over subset positions, joined through shared propositions;
     // components are numbered in order of their first position.
-    std::vector<std::size_t> parent(subset.size());
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    parent.resize(subset.size());
     std::iota(parent.begin(), parent.end(), std::size_t{0});
-    const auto find = [&parent](std::size_t x) {
+    const auto find = [this](std::size_t x) {
       while (parent[x] != x) x = parent[x] = parent[parent[x]];
       return x;
     };
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> owner(names.size(), kNone);
+    owner.assign(names.size(), kNone);
     for (std::size_t pos = 0; pos < subset.size(); ++pos) {
       for (std::uint32_t p : props[subset[pos]]) {
         if (owner[p] == kNone) {
@@ -208,43 +317,40 @@ struct SynthesisOracle::State {
         }
       }
     }
-    std::vector<std::size_t> number(subset.size(), kNone);
-    std::vector<Entry> components;
+    number.assign(subset.size(), kNone);
+    std::size_t count = 0;
     for (std::size_t pos = 0; pos < subset.size(); ++pos) {
       std::size_t& n = number[find(pos)];
       if (n == kNone) {
-        n = components.size();
-        components.emplace_back();
+        n = count++;
+        if (components.size() < count) components.emplace_back();
+        components[n].indices.clear();
+        components[n].codes.clear();
       }
       Entry& c = components[n];
       c.indices.push_back(subset[pos]);
-      for (std::uint32_t p : props[subset[pos]]) c.codes.push_back(p << 2 | side[p]);
-    }
-    for (Entry& c : components) {
-      std::sort(c.indices.begin(), c.indices.end());
-      std::sort(c.codes.begin(), c.codes.end());
-      c.codes.erase(std::unique(c.codes.begin(), c.codes.end()), c.codes.end());
+      for (std::uint32_t p : props[subset[pos]]) {
+        c.codes.push_back(p << 2 | sides[p]);
+      }
     }
 
     // A component the memo knows unrealizable answers at once; otherwise
     // solve the undecided components, stopping at the first unrealizable.
     // (Components are disjoint, so one's new entry never decides another.)
-    std::vector<std::optional<bool>> known;
-    for (const Entry& c : components) {
-      known.push_back(recall(c));
+    known.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      Entry& c = components[k];
+      std::sort(c.indices.begin(), c.indices.end());
+      std::sort(c.codes.begin(), c.codes.end());
+      c.codes.erase(std::unique(c.codes.begin(), c.codes.end()), c.codes.end());
+      known.push_back(recall(c, c.key_hash()));
       if (known.back() == false) return false;
     }
-    for (std::size_t k = 0; k < components.size(); ++k) {
+    for (std::size_t k = 0; k < count; ++k) {
       if (known[k].has_value()) continue;
       Entry& c = components[k];
-      // The signature projected onto the component, in name order.
-      synth::IoSignature projected;
-      for (std::uint32_t code : c.codes) {
-        const std::string& name = names[code >> 2];
-        if (code & 1) projected.inputs.push_back(name);
-        if (code & 2) projected.outputs.push_back(name);
-      }
-      c.realizable = synthesize(c.indices, projected);
+      c.realizable = solve(c);
+      exact.emplace(c.key_hash(), memo.size());
       memo.push_back(c);
       if (!c.realizable) return false;
     }
@@ -257,42 +363,103 @@ SynthesisOracle::SynthesisOracle(std::vector<ltl::Formula> requirements,
     : state_(std::make_shared<State>()) {
   State& st = *state_;
   st.options = std::move(options);
-  std::set<std::string> atoms;
-  std::vector<std::set<std::string>> atoms_of;
-  for (const ltl::Formula& f : requirements) {
-    atoms_of.push_back(f.atoms());
-    atoms.insert(atoms_of.back().begin(), atoms_of.back().end());
-    st.in_fragment.push_back(synth::fragment_covers({f}));
-  }
-  st.names.assign(atoms.begin(), atoms.end());
-  for (const std::set<std::string>& mine : atoms_of) {
-    std::vector<std::uint32_t> ids;
-    for (const std::string& atom : mine) {
-      ids.push_back(static_cast<std::uint32_t>(
-          std::lower_bound(st.names.begin(), st.names.end(), atom) -
-          st.names.begin()));
+  st.requirements = std::move(requirements);
+
+  // One walk per requirement collects its distinct atom leaves. Atoms are
+  // hash-consed, so a leaf handle stands for its name.
+  std::vector<std::vector<ltl::Formula>> leaves(st.requirements.size());
+  std::unordered_map<ltl::Formula, std::uint32_t> id_of;
+  std::vector<ltl::Formula> stack;
+  for (std::size_t i = 0; i < st.requirements.size(); ++i) {
+    stack.assign(1, st.requirements[i]);
+    while (!stack.empty()) {
+      const ltl::Formula f = stack.back();
+      stack.pop_back();
+      if (f.op() != ltl::Op::kAp) {
+        stack.insert(stack.end(), f.children().begin(), f.children().end());
+      } else if (std::find(leaves[i].begin(), leaves[i].end(), f) ==
+                 leaves[i].end()) {
+        leaves[i].push_back(f);
+        if (id_of.emplace(f, 0).second) st.names.push_back(f.ap_name());
+      }
     }
+  }
+  // Ids are ranks in name order.
+  std::sort(st.names.begin(), st.names.end());
+  for (auto& [atom, id] : id_of) {
+    id = static_cast<std::uint32_t>(
+        std::lower_bound(st.names.begin(), st.names.end(), atom.ap_name()) -
+        st.names.begin());
+  }
+  for (const std::vector<ltl::Formula>& mine : leaves) {
+    std::vector<std::uint32_t> ids;
+    ids.reserve(mine.size());
+    for (ltl::Formula atom : mine) ids.push_back(id_of.at(atom));
+    std::sort(ids.begin(), ids.end());
     st.props.push_back(std::move(ids));
   }
-  st.requirements = std::move(requirements);
+
+  // Compile each fragment requirement's monitor once; proposition
+  // variables are allocated on first use, in requirement order.
+  st.prop_var.assign(st.names.size(), -1);
+  const synth::PropVar prop_var = [&st, &id_of](ltl::Formula atom) {
+    int& v = st.prop_var[id_of.at(atom)];
+    if (v < 0) v = st.manager.new_var();
+    return v;
+  };
+  for (const ltl::Formula& f : st.requirements) {
+    if (const auto pattern = ltl::recognize_pattern(f)) {
+      st.monitors.push_back(synth::compile_monitor(st.manager, *pattern, prop_var));
+    } else {
+      st.monitors.emplace_back();
+      st.all_monitored = false;
+    }
+  }
 }
 
-CoreOracle SynthesisOracle::under(const synth::IoSignature& signature) const {
+SynthesisOracle::Sides SynthesisOracle::sides(
+    const synth::IoSignature& signature) const {
   const std::vector<std::string>& names = state_->names;
-  std::vector<std::uint32_t> side(names.size(), 0);
-  const auto mark = [&](const std::vector<std::string>& list, std::uint32_t bit) {
+  Sides out(names.size(), 0);
+  const auto mark = [&](const std::vector<std::string>& list, std::uint8_t bit) {
     for (const std::string& name : list) {
       const auto it = std::lower_bound(names.begin(), names.end(), name);
-      if (it != names.end() && *it == name) side[it - names.begin()] |= bit;
+      if (it != names.end() && *it == name) out[it - names.begin()] |= bit;
     }
   };
   mark(signature.inputs, 1);
   mark(signature.outputs, 2);
-  return [state = state_, signature, side = std::move(side)](
-             const std::vector<std::size_t>& subset)
+  return out;
+}
+
+CoreOracle SynthesisOracle::under(const synth::IoSignature& signature) const {
+  Sides s = sides(signature);
+  std::shared_ptr<const synth::IoSignature> kept;
+  if (state_->reaches_fallback(s)) {
+    kept = std::make_shared<const synth::IoSignature>(signature);
+  }
+  return view(std::move(kept), std::move(s));
+}
+
+CoreOracle SynthesisOracle::under(const synth::IoSignature& signature,
+                                  Sides sides) const {
+  speccc_check(sides.size() == state_->names.size(),
+               "one side per requirement atom");
+  std::shared_ptr<const synth::IoSignature> kept;
+  if (state_->reaches_fallback(sides)) {
+    kept = std::make_shared<const synth::IoSignature>(
+        with_sides(signature, state_->names, sides));
+  }
+  return view(std::move(kept), std::move(sides));
+}
+
+CoreOracle SynthesisOracle::view(std::shared_ptr<const synth::IoSignature> signature,
+                                 Sides sides) const {
+  return [state = state_, signature = std::move(signature),
+          sides = std::move(sides)](const std::vector<std::size_t>& subset)
              -> std::optional<std::vector<std::size_t>> {
     if (subset.empty()) return std::nullopt;  // empty conjunction: realizable
-    if (state->realizable(subset, signature, side)) return std::nullopt;
+    if (state->realizable(subset, signature.get(), sides)) return std::nullopt;
     return subset;  // no finer core available: echo the query
   };
 }

@@ -97,28 +97,40 @@ struct Diagnosis {
 /// as inconsistent, matching refine's conservative reading. No real cores
 /// -- inconsistent queries are echoed back.
 ///
-/// When the symbolic engine decides the whole subset (every requirement in
-/// the pattern fragment, every atom in the signature), the query is split
-/// into components: union-find over the propositions the requirements
-/// share. Each component is synthesized alone, with its own manager and
-/// the signature projected onto its propositions, and its verdict is
-/// memoized under its sorted requirement indices plus each proposition's
-/// side (input/output) in the signature. Lookups use monotonicity: a
-/// component inside a realizable entry, or holding an unrealizable one,
-/// with the same sides, is decided without synthesis. With no assumptions
-/// every requirement is a guarantee, so a conjunction over disjoint
-/// vocabularies is realizable iff each conjunct is, and the symbolic
-/// engine decides exactly: answers are those of one monolithic call. Any
-/// other subset takes one monolithic synth::synthesize call, unmemoized,
-/// because the bounded engine's caps are not compositional.
+/// Construction walks each requirement once: its atoms get ids from one
+/// name table (an atom's id is its rank among all requirement atoms, so id
+/// order is name order and ids never depend on a signature), and a
+/// requirement in the pattern fragment (ltl::recognize_pattern) has its
+/// monitor compiled once (synth::compile_monitor) into the one bdd::Manager
+/// the oracle owns. A monitor does not depend on the input/output split,
+/// so no query and no partition flip recompiles one.
 ///
-/// Views under different signatures share the memo, so a partition flip
+/// When every requirement of a subset has a monitor and every atom has a
+/// side in the view, the query is split into components: union-find over
+/// the propositions the requirements share. Each component is one
+/// game::SymbolicGame -- the conjunction of its members' safety parts,
+/// their state bits, transition functions and Buechi sets concatenated,
+/// each proposition quantified on its side -- solved in the shared
+/// manager. Its verdict is memoized under its sorted requirement indices
+/// plus each proposition's side. Lookups try the exact key first, then
+/// monotonicity: a component inside a realizable entry, or holding an
+/// unrealizable one, with the same sides, is decided without solving. With
+/// no assumptions every requirement is a guarantee, so a conjunction over
+/// disjoint vocabularies is realizable iff each conjunct is, and the game
+/// decides exactly: answers are those of one monolithic synth::synthesize
+/// call. Any other subset takes one monolithic synth::synthesize call,
+/// unmemoized, because the bounded engine's caps are not compositional.
+///
+/// Views under different sides share the memo, so a partition flip
 /// re-solves only the components that contain the flipped proposition.
-/// Proposition ids are ranks among the requirements' atom names, never
-/// taken from a signature. Copies share state; one oracle serves one
-/// thread.
+/// The manager, like the memo, lives as long as the oracle or any of its
+/// views. Copies share state; one oracle serves one thread.
 class SynthesisOracle {
  public:
+  /// An input/output side per atom id: bit 0 "an input", bit 1 "an
+  /// output"; 0 for an atom the signature does not list.
+  using Sides = std::vector<std::uint8_t>;
+
   SynthesisOracle(std::vector<ltl::Formula> requirements,
                   synth::SynthesisOptions options = {});
 
@@ -127,6 +139,15 @@ class SynthesisOracle {
   /// options.{symbolic,bounded}.cancelled -- memo hits included -- and
   /// lets util::CancelledError out.
   [[nodiscard]] CoreOracle under(const synth::IoSignature& signature) const;
+  /// under() a signature that is `signature` with every requirement atom
+  /// moved to the side `sides` gives it (propositions no requirement
+  /// mentions keep theirs; both lists in name order). A partition flip is
+  /// one changed entry of sides(signature); no names are copied unless a
+  /// query can reach the monolithic fallback.
+  [[nodiscard]] CoreOracle under(const synth::IoSignature& signature,
+                                 Sides sides) const;
+  /// The side `signature` gives each atom.
+  [[nodiscard]] Sides sides(const synth::IoSignature& signature) const;
 
   /// Every requirement atom, sorted once at construction; an atom's id is
   /// its rank here, so id order is name order.
@@ -136,6 +157,8 @@ class SynthesisOracle {
 
  private:
   struct State;
+  [[nodiscard]] CoreOracle view(std::shared_ptr<const synth::IoSignature> signature,
+                                Sides sides) const;
   std::shared_ptr<State> state_;
 };
 

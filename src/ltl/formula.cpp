@@ -1,10 +1,15 @@
 #include "ltl/formula.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "util/diagnostics.hpp"
 
@@ -50,31 +55,16 @@ std::size_t combine(std::size_t seed, std::size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-struct NodeKey {
-  Op op;
-  std::string ap_name;
-  std::vector<const detail::Node*> children;
-
-  bool operator==(const NodeKey& other) const = default;
-};
-
-struct NodeKeyHash {
-  std::size_t operator()(const NodeKey& k) const {
-    std::size_t h = static_cast<std::size_t>(k.op);
-    h = combine(h, std::hash<std::string>{}(k.ap_name));
-    for (const auto* c : k.children) {
-      h = combine(h, std::hash<const void*>{}(c));
-    }
-    return h;
-  }
-};
-
 }  // namespace
 
 /// Process-wide intern arena. Nodes are kept alive for the lifetime of the
 /// process; formulas are small and specifications are bounded, so this is a
 /// deliberate leak-until-exit design (the arena is a Meyers singleton whose
 /// destructor releases everything at shutdown).
+///
+/// The table holds the nodes themselves and is probed with a borrowed view
+/// of the candidate (op, name, children) and its hash, computed before the
+/// lock. A hit copies and allocates nothing; only a miss builds a node.
 class Arena {
  public:
   static Arena& instance() {
@@ -82,41 +72,68 @@ class Arena {
     return arena;
   }
 
-  Formula intern(Op op, std::string ap_name, std::vector<Formula> children) {
-    NodeKey key;
-    key.op = op;
-    key.ap_name = ap_name;
-    key.children.reserve(children.size());
+  Formula intern(Op op, std::string_view ap_name,
+                 std::span<const Formula> children) {
+    std::size_t hash = combine(static_cast<std::size_t>(op),
+                               std::hash<std::string_view>{}(ap_name));
     for (Formula c : children) {
       speccc_check(!c.is_null(), "child formula must not be null");
-      key.children.push_back(c.node_);
+      hash = combine(hash, std::hash<const void*>{}(c.node_));
     }
+    const Probe probe{op, ap_name, children, hash};
 
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = table_.find(key);
-    if (it != table_.end()) return Formula(it->second);
+    const auto it = table_.find(probe);
+    if (it != table_.end()) return Formula(*it);
 
     auto node = std::make_unique<detail::Node>();
     node->op = op;
-    node->ap_name = std::move(ap_name);
-    node->children = std::move(children);
+    node->ap_name = ap_name;
+    node->children.assign(children.begin(), children.end());
     node->id = next_id_++;
-    node->hash = NodeKeyHash{}(key);
+    node->hash = hash;
     node->length = 1;
-    for (Formula c : node->children) node->length += c.length();
+    for (Formula c : children) node->length += c.length();
 
     const detail::Node* raw = node.get();
     nodes_.push_back(std::move(node));
-    table_.emplace(std::move(key), raw);
+    table_.insert(raw);
     return Formula(raw);
   }
 
  private:
+  /// A candidate node, borrowed from the caller, with its hash.
+  struct Probe {
+    Op op;
+    std::string_view ap_name;
+    std::span<const Formula> children;
+    std::size_t hash;
+  };
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(const detail::Node* n) const { return n->hash; }
+    std::size_t operator()(const Probe& p) const { return p.hash; }
+  };
+  struct Equal {
+    using is_transparent = void;
+    bool operator()(const detail::Node* a, const detail::Node* b) const {
+      return a == b;
+    }
+    bool operator()(const Probe& p, const detail::Node* n) const {
+      return p.op == n->op && p.ap_name == n->ap_name &&
+             std::equal(p.children.begin(), p.children.end(),
+                        n->children.begin(), n->children.end());
+    }
+    bool operator()(const detail::Node* n, const Probe& p) const {
+      return (*this)(p, n);
+    }
+  };
+
   Arena() = default;
   std::mutex mutex_;
   std::uint64_t next_id_ = 1;
   std::vector<std::unique_ptr<detail::Node>> nodes_;
-  std::unordered_map<NodeKey, const detail::Node*, NodeKeyHash> table_;
+  std::unordered_set<const detail::Node*, Hash, Equal> table_;
 };
 
 Op Formula::op() const {
@@ -183,8 +200,24 @@ bool Formula::is_propositional() const {
 
 // ---- Factories --------------------------------------------------------------
 
-Formula tru() { return Arena::instance().intern(Op::kTrue, "", {}); }
-Formula fls() { return Arena::instance().intern(Op::kFalse, "", {}); }
+namespace {
+
+/// An operator node over `children` with no proposition name.
+Formula make(Op op, std::initializer_list<Formula> children) {
+  return Arena::instance().intern(op, {}, {children.begin(), children.size()});
+}
+
+}  // namespace
+
+Formula tru() {
+  static const Formula t = make(Op::kTrue, {});
+  return t;
+}
+
+Formula fls() {
+  static const Formula f = make(Op::kFalse, {});
+  return f;
+}
 
 Formula ap(const std::string& name) {
   speccc_check(!name.empty(), "proposition name must be non-empty");
@@ -195,63 +228,61 @@ Formula lnot(Formula f) {
   if (f.op() == Op::kTrue) return fls();
   if (f.op() == Op::kFalse) return tru();
   if (f.op() == Op::kNot) return f.child(0);  // double negation
-  return Arena::instance().intern(Op::kNot, "", {f});
+  return make(Op::kNot, {f});
 }
 
 namespace {
 
 /// Flatten nested n-ary nodes of the same op, fold constants.
 /// `unit` is the neutral element, `zero` the absorbing element.
-Formula nary(Op op, std::vector<Formula> fs, Formula unit, Formula zero) {
+Formula nary(Op op, std::span<const Formula> fs, Formula unit, Formula zero) {
   std::vector<Formula> flat;
   flat.reserve(fs.size());
+  // Flattened operands, exact duplicates dropped (first occurrence kept).
+  const auto keep = [&flat](Formula f) {
+    if (std::find(flat.begin(), flat.end(), f) == flat.end()) flat.push_back(f);
+  };
   for (Formula f : fs) {
     speccc_check(!f.is_null(), "null operand");
     if (f == zero) return zero;
     if (f == unit) continue;
     if (f.op() == op) {
-      for (Formula c : f.children()) flat.push_back(c);
+      for (Formula c : f.children()) keep(c);
     } else {
-      flat.push_back(f);
+      keep(f);
     }
   }
-  // Drop exact duplicates while preserving first-occurrence order.
-  std::vector<Formula> dedup;
-  for (Formula f : flat) {
-    bool seen = false;
-    for (Formula g : dedup) {
-      if (f == g) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) dedup.push_back(f);
-  }
-  if (dedup.empty()) return unit;
-  if (dedup.size() == 1) return dedup.front();
-  return Arena::instance().intern(op, "", std::move(dedup));
+  if (flat.empty()) return unit;
+  if (flat.size() == 1) return flat.front();
+  return Arena::instance().intern(op, {}, flat);
 }
 
 }  // namespace
 
-Formula land(std::vector<Formula> fs) { return nary(Op::kAnd, std::move(fs), tru(), fls()); }
-Formula land(Formula a, Formula b) { return land(std::vector<Formula>{a, b}); }
-Formula lor(std::vector<Formula> fs) { return nary(Op::kOr, std::move(fs), fls(), tru()); }
-Formula lor(Formula a, Formula b) { return lor(std::vector<Formula>{a, b}); }
+Formula land(std::vector<Formula> fs) { return nary(Op::kAnd, fs, tru(), fls()); }
+Formula land(Formula a, Formula b) {
+  const Formula both[] = {a, b};
+  return nary(Op::kAnd, both, tru(), fls());
+}
+Formula lor(std::vector<Formula> fs) { return nary(Op::kOr, fs, fls(), tru()); }
+Formula lor(Formula a, Formula b) {
+  const Formula both[] = {a, b};
+  return nary(Op::kOr, both, fls(), tru());
+}
 
 Formula implies(Formula a, Formula b) {
   if (a.op() == Op::kTrue) return b;
   if (a.op() == Op::kFalse) return tru();
   if (b.op() == Op::kTrue) return tru();
-  return Arena::instance().intern(Op::kImplies, "", {a, b});
+  return make(Op::kImplies, {a, b});
 }
 
 Formula iff(Formula a, Formula b) {
   if (a == b) return tru();
-  return Arena::instance().intern(Op::kIff, "", {a, b});
+  return make(Op::kIff, {a, b});
 }
 
-Formula next(Formula f) { return Arena::instance().intern(Op::kNext, "", {f}); }
+Formula next(Formula f) { return make(Op::kNext, {f}); }
 
 Formula next_n(Formula f, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) f = next(f);
@@ -261,32 +292,32 @@ Formula next_n(Formula f, std::size_t n) {
 Formula eventually(Formula f) {
   if (f.op() == Op::kEventually) return f;  // FF phi == F phi
   if (f.op() == Op::kTrue || f.op() == Op::kFalse) return f;
-  return Arena::instance().intern(Op::kEventually, "", {f});
+  return make(Op::kEventually, {f});
 }
 
 Formula always(Formula f) {
   if (f.op() == Op::kAlways) return f;  // GG phi == G phi
   if (f.op() == Op::kTrue || f.op() == Op::kFalse) return f;
-  return Arena::instance().intern(Op::kAlways, "", {f});
+  return make(Op::kAlways, {f});
 }
 
 Formula until(Formula a, Formula b) {
   if (b.op() == Op::kTrue || b.op() == Op::kFalse) return b;
   if (a.op() == Op::kFalse) return b;
-  return Arena::instance().intern(Op::kUntil, "", {a, b});
+  return make(Op::kUntil, {a, b});
 }
 
 Formula weak_until(Formula a, Formula b) {
   if (a.op() == Op::kTrue) return tru();
   if (b.op() == Op::kTrue) return tru();
   if (a.op() == Op::kFalse) return b;
-  return Arena::instance().intern(Op::kWeakUntil, "", {a, b});
+  return make(Op::kWeakUntil, {a, b});
 }
 
 Formula release(Formula a, Formula b) {
   if (b.op() == Op::kTrue || b.op() == Op::kFalse) return b;
   if (a.op() == Op::kTrue) return b;
-  return Arena::instance().intern(Op::kRelease, "", {a, b});
+  return make(Op::kRelease, {a, b});
 }
 
 // ---- Canonical digest -------------------------------------------------------

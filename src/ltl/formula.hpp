@@ -8,6 +8,17 @@
 // constant folding) so that the printed form of a translated requirement
 // matches the paper's appendix.
 //
+// Interning: every factory probes one process-wide table with a borrowed
+// view of the candidate node (operator, proposition name, child handles)
+// and its hash. A hit -- the common case, since specs reuse subformulas --
+// copies and allocates nothing; only a miss builds and stores a node.
+// tru() and fls() are built once and returned from static handles. The
+// table sits behind one mutex, so factories may be called from any number
+// of threads at once; equal formulas built on different threads get the
+// same node. Handles and nodes are immutable, so reading them needs no
+// lock. id() is the creation index, so it depends on which thread got to a
+// node first; hash() and length() do not.
+//
 // The grammar follows the paper:
 //   phi ::= p | !phi | phi || phi | X phi | F phi | G phi | phi U phi
 // extended with the derived operators &&, ->, <->, W (weak until) and R

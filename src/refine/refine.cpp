@@ -74,8 +74,8 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
   // the initial check and is a hit, and a flip re-solves only the
   // components that contain the flipped variable.
   const diag::SynthesisOracle synthesis(requirements, options);
-  const diag::CoreOracle oracle =
-      synthesis.under(partition::signature(initial));
+  const synth::IoSignature signature = partition::signature(initial);
+  const diag::CoreOracle oracle = synthesis.under(signature);
   ++outcome.checks;
   if (!oracle(universe)) {
     outcome.consistent = true;
@@ -105,24 +105,27 @@ RefinementOutcome refine(const std::vector<Formula>& requirements,
                      return occurrence[a] > occurrence[b];
                    });
 
-  // Try flipping each candidate (paper V-B bullet 2).
+  // Try flipping each candidate (paper V-B bullet 2): one changed entry of
+  // the atoms' sides; a Partition is built only for the flip that works.
+  const diag::SynthesisOracle::Sides sides = synthesis.sides(signature);
   for (std::uint32_t id : candidates) {
-    const std::string& variable = synthesis.atom_names()[id];
-    partition::Partition flipped = initial;
-    const bool was_input = flipped.is_input(variable);
-    if (was_input) {
-      flipped.inputs.erase(variable);
-      flipped.outputs.insert(variable);
-    } else {
-      flipped.outputs.erase(variable);
-      flipped.inputs.insert(variable);
-    }
-    if (flipped.inputs.empty()) continue;  // a system needs some input
+    const bool was_input = (sides[id] & 1) != 0;
+    // A system needs some input.
+    if (was_input && initial.inputs.size() == 1) continue;
+    diag::SynthesisOracle::Sides flipped = sides;
+    flipped[id] = was_input ? 2 : 1;
     ++outcome.checks;
-    if (!synthesis.under(partition::signature(flipped))(universe)) {
+    if (!synthesis.under(signature, std::move(flipped))(universe)) {
+      const std::string& variable = synthesis.atom_names()[id];
       outcome.consistent = true;
       outcome.adjustment = Adjustment{variable, !was_input};
-      outcome.partition = flipped;
+      if (was_input) {
+        outcome.partition.inputs.erase(variable);
+        outcome.partition.outputs.insert(variable);
+      } else {
+        outcome.partition.outputs.erase(variable);
+        outcome.partition.inputs.insert(variable);
+      }
       return outcome;
     }
   }

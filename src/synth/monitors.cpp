@@ -1,6 +1,8 @@
 #include "synth/monitors.hpp"
 
 #include <algorithm>
+#include <string>
+#include <unordered_map>
 
 #include "util/diagnostics.hpp"
 
@@ -13,123 +15,106 @@ using ltl::Op;
 using ltl::PatternInstance;
 using ltl::PatternKind;
 
-class Compiler;
-bdd::Bdd prop_to_bdd(bdd::Manager& mgr, Compiler& compiler, Formula f);
-
-class Compiler {
+/// Compiles pattern instances into one Monitor, conjoining each safety
+/// constraint onto monitor.safe and appending state bits and Buechi
+/// predicates. Proposition variables come from the caller's PropVar: for
+/// conjunctions of per-requirement monitors, allocating them lazily in
+/// first-use order keeps each requirement's propositions adjacent in the
+/// BDD order, which is the difference between linear- and
+/// exponential-sized safety constraints (G (a1 -> b1) && G (a2 -> b2) &&
+/// ... is linear when interleaved a1 b1 a2 b2 and exponential when grouped
+/// a1 a2 ... b1 b2 ...).
+class MonitorBuilder {
  public:
-  Compiler(bdd::Manager& mgr, const IoSignature& signature)
-      : mgr_(mgr), signature_(signature) {
-    spec_.game.manager = &mgr_;
-    spec_.game.safe = mgr_.bdd_true();
-    // Proposition variables are allocated lazily, in first-use order: for
-    // conjunctions of per-requirement monitors this keeps each requirement's
-    // propositions adjacent in the BDD order, which is the difference
-    // between linear- and exponential-sized safety constraints
-    // (G (a1 -> b1) && G (a2 -> b2) && ... is linear when interleaved
-    // a1 b1 a2 b2 and exponential when grouped a1 a2 ... b1 b2 ...).
-  }
+  MonitorBuilder(bdd::Manager& mgr, const PropVar& prop_var, Monitor& out)
+      : mgr_(mgr), prop_var_(prop_var), out_(out) {}
 
-  bool add(const PatternInstance& p, std::size_t origin) {
+  void add(const PatternInstance& p) {
     switch (p.kind) {
       case PatternKind::kInvariant:
-        spec_.game.safe =
-            mgr_.bdd_and(spec_.game.safe, prop(p.guard));
-        return true;
+        out_.safe = mgr_.bdd_and(out_.safe, prop(p.guard));
+        return;
       case PatternKind::kImplication:
         add_implication(prop(p.guard), prop(p.consequent), p.delay);
-        return true;
+        return;
       case PatternKind::kGuardDelayed:
         add_guard_delayed(prop(p.guard), prop(p.consequent), p.delay);
-        return true;
+        return;
       case PatternKind::kResponse:
-        add_response(prop(p.guard), prop(p.consequent), origin);
-        return true;
+        add_response(prop(p.guard), prop(p.consequent));
+        return;
       case PatternKind::kWeakUntil:
         add_weak_until(prop(p.guard), prop(p.consequent), prop(p.release));
-        return true;
+        return;
       case PatternKind::kStrongUntil:
         add_weak_until(prop(p.guard), prop(p.consequent), prop(p.release));
-        add_response(prop(p.guard), prop(p.release), origin);
-        return true;
+        add_response(prop(p.guard), prop(p.release));
+        return;
       case PatternKind::kExistence:
-        add_existence(prop(p.guard), origin);
-        return true;
+        add_existence(prop(p.guard));
+        return;
     }
-    return false;
-  }
-
-  CompiledSpec finish() {
-    // Allocate variables for signature propositions never mentioned by any
-    // requirement (they are unconstrained but must exist for extraction).
-    for (const std::string& name : signature_.inputs) prop_var(name);
-    for (const std::string& name : signature_.outputs) prop_var(name);
-    // Partition the allocated proposition variables by signature role, in
-    // signature order (extraction indexes input bit b as inputs[b]).
-    for (const std::string& name : signature_.inputs) {
-      spec_.game.input_vars.push_back(spec_.prop_var.at(name));
-    }
-    for (const std::string& name : signature_.outputs) {
-      spec_.game.output_vars.push_back(spec_.prop_var.at(name));
-    }
-    // Initial-state predicate: the minterm given by initial_bits, built as
-    // one cube (a single bottom-up pass) instead of a conjunction chain.
-    std::vector<std::pair<int, bool>> initial_literals;
-    initial_literals.reserve(spec_.game.state_vars.size());
-    for (std::size_t b = 0; b < spec_.game.state_vars.size(); ++b) {
-      initial_literals.emplace_back(spec_.game.state_vars[b],
-                                    spec_.initial_bits[b]);
-    }
-    spec_.game.initial = mgr_.cube(initial_literals);
-    return std::move(spec_);
+    speccc_check(false, "recognized pattern must compile");
   }
 
  private:
-  int prop_var(const std::string& name) {
-    const auto it = spec_.prop_var.find(name);
-    if (it != spec_.prop_var.end()) return it->second;
-    const int v = mgr_.new_var();
-    spec_.prop_var.emplace(name, v);
-    return v;
-  }
-
-  bdd::Bdd prop(Formula f) { return prop_to_bdd(mgr_, *this, f); }
-  friend bdd::Bdd prop_to_bdd(bdd::Manager&, Compiler&, Formula);
-
-  int new_state_bit(bool initial) {
-    const int v = mgr_.new_var();
-    spec_.game.state_vars.push_back(v);
-    spec_.game.next_state.emplace_back();  // filled by caller
-    spec_.initial_bits.push_back(initial);
-    return v;
-  }
-
-  void set_update(int var, bdd::Bdd update) {
-    for (std::size_t b = 0; b < spec_.game.state_vars.size(); ++b) {
-      if (spec_.game.state_vars[b] == var) {
-        spec_.game.next_state[b] = update;
-        return;
+  /// Propositional formula -> BDD.
+  bdd::Bdd prop(Formula f) {
+    switch (f.op()) {
+      case Op::kTrue:
+        return mgr_.bdd_true();
+      case Op::kFalse:
+        return mgr_.bdd_false();
+      case Op::kAp:
+        return mgr_.var(prop_var_(f));
+      case Op::kNot:
+        return mgr_.bdd_not(prop(f.child(0)));
+      case Op::kAnd: {
+        bdd::Bdd acc = mgr_.bdd_true();
+        for (Formula c : f.children()) acc = mgr_.bdd_and(acc, prop(c));
+        return acc;
       }
+      case Op::kOr: {
+        bdd::Bdd acc = mgr_.bdd_false();
+        for (Formula c : f.children()) acc = mgr_.bdd_or(acc, prop(c));
+        return acc;
+      }
+      case Op::kImplies:
+        return mgr_.implies(prop(f.child(0)), prop(f.child(1)));
+      case Op::kIff:
+        return mgr_.iff(prop(f.child(0)), prop(f.child(1)));
+      default:
+        speccc_check(false, "temporal operator in propositional context");
+        return mgr_.bdd_false();
     }
-    speccc_check(false, "unknown state variable");
   }
+
+  /// A fresh state bit; returns its position in the monitor's vectors (the
+  /// caller fills in its transition function).
+  std::size_t new_state_bit(bool initial) {
+    out_.state_vars.push_back(mgr_.new_var());
+    out_.next_state.emplace_back();
+    out_.initial_bits.push_back(initial);
+    return out_.state_vars.size() - 1;
+  }
+
+  bdd::Bdd bit(std::size_t b) { return mgr_.var(out_.state_vars[b]); }
 
   /// G (g -> X^n c): register chain d1..dn of guard history.
   /// d1' = g(now); dj' = d_{j-1}; violation when dn && !c(now).
   void add_implication(bdd::Bdd guard, bdd::Bdd consequent, std::size_t delay) {
     if (delay == 0) {
-      spec_.game.safe =
-          mgr_.bdd_and(spec_.game.safe, mgr_.implies(guard, consequent));
+      out_.safe = mgr_.bdd_and(out_.safe, mgr_.implies(guard, consequent));
       return;
     }
-    std::vector<int> regs;
+    std::vector<std::size_t> regs;
     for (std::size_t j = 0; j < delay; ++j) regs.push_back(new_state_bit(false));
-    set_update(regs[0], guard);
+    out_.next_state[regs[0]] = guard;
     for (std::size_t j = 1; j < delay; ++j) {
-      set_update(regs[j], mgr_.var(regs[j - 1]));
+      out_.next_state[regs[j]] = bit(regs[j - 1]);
     }
-    spec_.game.safe = mgr_.bdd_and(
-        spec_.game.safe, mgr_.implies(mgr_.var(regs[delay - 1]), consequent));
+    out_.safe = mgr_.bdd_and(out_.safe,
+                             mgr_.implies(bit(regs[delay - 1]), consequent));
   }
 
   /// G (X^n g -> c): register chain e1..en of consequent history,
@@ -137,88 +122,48 @@ class Compiler {
   /// e1' = c(now); ej' = e_{j-1}; violation when g(now) && !en.
   void add_guard_delayed(bdd::Bdd guard, bdd::Bdd consequent, std::size_t delay) {
     speccc_check(delay >= 1, "guard-delayed pattern needs delay >= 1");
-    std::vector<int> regs;
+    std::vector<std::size_t> regs;
     for (std::size_t j = 0; j < delay; ++j) regs.push_back(new_state_bit(true));
-    set_update(regs[0], consequent);
+    out_.next_state[regs[0]] = consequent;
     for (std::size_t j = 1; j < delay; ++j) {
-      set_update(regs[j], mgr_.var(regs[j - 1]));
+      out_.next_state[regs[j]] = bit(regs[j - 1]);
     }
-    spec_.game.safe = mgr_.bdd_and(
-        spec_.game.safe, mgr_.implies(guard, mgr_.var(regs[delay - 1])));
+    out_.safe = mgr_.bdd_and(out_.safe,
+                             mgr_.implies(guard, bit(regs[delay - 1])));
   }
 
   /// G (g -> F c): obligation bit; obliged' = (obliged || g) && !c.
   /// Buechi predicate: !obliged (the obligation is discharged infinitely
   /// often, i.e. every triggered response eventually happens).
-  void add_response(bdd::Bdd guard, bdd::Bdd consequent, std::size_t origin) {
-    const int obliged = new_state_bit(false);
-    set_update(obliged, mgr_.bdd_and(mgr_.bdd_or(mgr_.var(obliged), guard),
-                                     mgr_.bdd_not(consequent)));
-    spec_.game.buchi.push_back(mgr_.nvar(obliged));
-    spec_.buchi_origin.push_back(origin);
+  void add_response(bdd::Bdd guard, bdd::Bdd consequent) {
+    const std::size_t obliged = new_state_bit(false);
+    out_.next_state[obliged] = mgr_.bdd_and(mgr_.bdd_or(bit(obliged), guard),
+                                            mgr_.bdd_not(consequent));
+    out_.buchi.push_back(mgr_.nvar(out_.state_vars[obliged]));
   }
 
   /// G (g -> (p W q)): active = w || g; violation when active && !q && !p;
   /// w' = active && !q.
   void add_weak_until(bdd::Bdd guard, bdd::Bdd hold, bdd::Bdd release) {
-    const int w = new_state_bit(false);
-    const bdd::Bdd active = mgr_.bdd_or(mgr_.var(w), guard);
-    set_update(w, mgr_.bdd_and(active, mgr_.bdd_not(release)));
-    spec_.game.safe = mgr_.bdd_and(
-        spec_.game.safe,
+    const std::size_t w = new_state_bit(false);
+    const bdd::Bdd active = mgr_.bdd_or(bit(w), guard);
+    out_.next_state[w] = mgr_.bdd_and(active, mgr_.bdd_not(release));
+    out_.safe = mgr_.bdd_and(
+        out_.safe,
         mgr_.implies(mgr_.bdd_and(active, mgr_.bdd_not(release)), hold));
   }
 
   /// F p: done' = done || p; Buechi predicate: done.
-  void add_existence(bdd::Bdd body, std::size_t origin) {
-    const int done = new_state_bit(false);
-    set_update(done, mgr_.bdd_or(mgr_.var(done), body));
-    spec_.game.buchi.push_back(mgr_.var(done));
-    spec_.buchi_origin.push_back(origin);
+  void add_existence(bdd::Bdd body) {
+    const std::size_t done = new_state_bit(false);
+    out_.next_state[done] = mgr_.bdd_or(bit(done), body);
+    out_.buchi.push_back(bit(done));
   }
 
   bdd::Manager& mgr_;
-  [[maybe_unused]] const IoSignature& signature_;
-  CompiledSpec spec_;
+  const PropVar& prop_var_;
+  Monitor& out_;
 };
-
-/// Propositional formula -> BDD, allocating proposition variables on first
-/// use (see the ordering note in Compiler's constructor).
-bdd::Bdd prop_to_bdd(bdd::Manager& mgr, Compiler& compiler, Formula f) {
-  switch (f.op()) {
-    case Op::kTrue:
-      return mgr.bdd_true();
-    case Op::kFalse:
-      return mgr.bdd_false();
-    case Op::kAp:
-      return mgr.var(compiler.prop_var(f.ap_name()));
-    case Op::kNot:
-      return mgr.bdd_not(prop_to_bdd(mgr, compiler, f.child(0)));
-    case Op::kAnd: {
-      bdd::Bdd acc = mgr.bdd_true();
-      for (Formula c : f.children()) {
-        acc = mgr.bdd_and(acc, prop_to_bdd(mgr, compiler, c));
-      }
-      return acc;
-    }
-    case Op::kOr: {
-      bdd::Bdd acc = mgr.bdd_false();
-      for (Formula c : f.children()) {
-        acc = mgr.bdd_or(acc, prop_to_bdd(mgr, compiler, c));
-      }
-      return acc;
-    }
-    case Op::kImplies:
-      return mgr.implies(prop_to_bdd(mgr, compiler, f.child(0)),
-                         prop_to_bdd(mgr, compiler, f.child(1)));
-    case Op::kIff:
-      return mgr.iff(prop_to_bdd(mgr, compiler, f.child(0)),
-                     prop_to_bdd(mgr, compiler, f.child(1)));
-    default:
-      speccc_check(false, "temporal operator in propositional context");
-      return mgr.bdd_false();
-  }
-}
 
 /// Whether every atom of f is in the signature: a walk over f's leaves,
 /// with no atom set built per formula. Unary chains (X^d) are walked in a
@@ -237,6 +182,15 @@ bool mentions_only(Formula f, const IoSignature& signature) {
 
 }  // namespace
 
+Monitor compile_monitor(bdd::Manager& manager,
+                        const ltl::PatternInstance& pattern,
+                        const PropVar& prop_var) {
+  Monitor monitor;
+  monitor.safe = manager.bdd_true();
+  MonitorBuilder(manager, prop_var, monitor).add(pattern);
+  return monitor;
+}
+
 bool fragment_covers(const std::vector<ltl::Formula>& spec) {
   for (const ltl::Formula& f : spec) {
     if (!ltl::recognize_pattern(f).has_value()) return false;
@@ -254,12 +208,49 @@ std::optional<CompiledSpec> compile_monitors(bdd::Manager& manager,
     if (!mentions_only(f, signature)) return std::nullopt;
     instances.push_back(*p);
   }
-  Compiler compiler(manager, signature);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const bool ok = compiler.add(instances[i], i);
-    speccc_check(ok, "recognized pattern must compile");
+  CompiledSpec out;
+  std::unordered_map<std::string, int> vars;
+  const auto var_of = [&](const std::string& name) {
+    const auto [it, fresh] = vars.try_emplace(name, 0);
+    if (fresh) it->second = manager.new_var();
+    return it->second;
+  };
+  const PropVar prop_var = [&](Formula a) { return var_of(a.ap_name()); };
+  // One monitor accumulates every requirement, so each safety constraint
+  // is conjoined as soon as it is built.
+  Monitor all;
+  all.safe = manager.bdd_true();
+  MonitorBuilder builder(manager, prop_var, all);
+  for (const PatternInstance& instance : instances) builder.add(instance);
+
+  // Allocate variables for signature propositions never mentioned by any
+  // requirement (they are unconstrained but must exist for extraction),
+  // then partition the proposition variables by signature role, in
+  // signature order (extraction indexes input bit b as inputs[b]).
+  for (const std::string& name : signature.inputs) var_of(name);
+  for (const std::string& name : signature.outputs) var_of(name);
+  game::SymbolicGame& game = out.game;
+  game.manager = &manager;
+  for (const std::string& name : signature.inputs) {
+    game.input_vars.push_back(vars.at(name));
   }
-  return compiler.finish();
+  for (const std::string& name : signature.outputs) {
+    game.output_vars.push_back(vars.at(name));
+  }
+  game.safe = all.safe;
+  game.state_vars = std::move(all.state_vars);
+  game.next_state = std::move(all.next_state);
+  game.buchi = std::move(all.buchi);
+  out.initial_bits = std::move(all.initial_bits);
+  // Initial-state predicate: the minterm given by initial_bits, built as
+  // one cube (a single bottom-up pass) instead of a conjunction chain.
+  std::vector<std::pair<int, bool>> initial_literals;
+  initial_literals.reserve(game.state_vars.size());
+  for (std::size_t b = 0; b < game.state_vars.size(); ++b) {
+    initial_literals.emplace_back(game.state_vars[b], out.initial_bits[b]);
+  }
+  game.initial = manager.cube(initial_literals);
+  return out;
 }
 
 }  // namespace speccc::synth

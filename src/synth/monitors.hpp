@@ -13,11 +13,18 @@
 //
 // The conjunction of all monitors forms one game::SymbolicGame whose system
 // player wins iff the specification is realizable (consistent).
+//
+// A monitor's BDDs do not depend on the input/output split: the signature
+// only decides which proposition variables a game quantifies as inputs and
+// which as outputs. So compile_monitor compiles one requirement once, and a
+// caller that asks many questions about one requirement list (the stage-3
+// oracle, diag/diag.hpp) assembles each question's game from the
+// precompiled monitors under whatever split it needs.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -28,16 +35,37 @@
 
 namespace speccc::synth {
 
-/// The compiled game plus the bookkeeping needed for strategy extraction.
+/// The compiled game plus the initial state strategy extraction starts
+/// from.
 struct CompiledSpec {
   game::SymbolicGame game;
-  /// Proposition name -> BDD variable index (inputs and outputs).
-  std::unordered_map<std::string, int> prop_var;
   /// Initial values of the state bits (same order as game.state_vars).
   std::vector<bool> initial_bits;
-  /// Which source requirement each Buechi predicate came from.
-  std::vector<std::size_t> buchi_origin;
 };
+
+/// One compiled requirement: the monitor's part of a SymbolicGame.
+struct Monitor {
+  /// Stepwise safety constraint over (state, proposition) variables.
+  bdd::Bdd safe;
+  std::vector<int> state_vars;
+  /// Transition function and initial value per state variable (same order
+  /// as state_vars).
+  std::vector<bdd::Bdd> next_state;
+  std::vector<bool> initial_bits;
+  /// Buechi predicates over state variables.
+  std::vector<bdd::Bdd> buchi;
+};
+
+/// The BDD variable of a proposition leaf (an ltl::Op::kAp formula); may
+/// allocate the variable on first use.
+using PropVar = std::function<int(ltl::Formula)>;
+
+/// Compile one recognized pattern instance into `manager`. State bits are
+/// allocated as fresh variables; proposition variables come from
+/// `prop_var`, so monitors compiled into one manager share them.
+[[nodiscard]] Monitor compile_monitor(bdd::Manager& manager,
+                                      const ltl::PatternInstance& pattern,
+                                      const PropVar& prop_var);
 
 /// Can the whole specification be compiled? True iff every formula is
 /// recognized by ltl::recognize_pattern and mentions only signature

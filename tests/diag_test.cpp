@@ -387,6 +387,119 @@ TEST(SynthesisOracle, NonFragmentSubsetsTakeOneMonolithicCall) {
 }
 
 // ---------------------------------------------------------------------------
+// The questions refine asks, against fresh monolithic synthesis: the
+// oracle's precompiled monitors and shared manager must answer each one
+// as a new synth::synthesize call on that subset and signature would.
+
+struct Asked {
+  Subset subset;
+  bool consistent = false;
+};
+
+/// `inner`, recording every question and its answer.
+diag::CoreOracle recording(diag::CoreOracle inner, std::vector<Asked>& log) {
+  return [inner = std::move(inner), &log](const Subset& subset) {
+    auto answer = inner(subset);
+    log.push_back({subset, !answer.has_value()});
+    return answer;
+  };
+}
+
+TEST(SynthesisOracle, RefineQuestionsMatchFreshMonolithicSynthesis) {
+  std::size_t compared = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (int index = 0; index < 100; ++index) {
+      const difftest::SpecCase sc = difftest::build_spec_case(
+          difftest::generated_planted_spec(seed, index).requirements);
+      const speccc::partition::Partition initial =
+          speccc::partition::unify(sc.requirements);
+      const IoSignature signature = speccc::partition::signature(initial);
+      const diag::SynthesisOracle oracle(sc.requirements);
+
+      // Under the initial signature: the initial check, the MUS shrink and
+      // the correction sets, each through the oracle refine builds.
+      std::vector<Asked> log;
+      const diag::Diagnosis diagnosis =
+          diag::diagnose(sc.requirements.size(),
+                         recording(oracle.under(signature), log),
+                         {.max_correction_sets = 4});
+      ASSERT_FALSE(diagnosis.consistent());
+      for (const Asked& a : log) {
+        ASSERT_EQ(a.consistent,
+                  monolithic_consistent(sc.requirements, a.subset, signature))
+            << "seed " << seed << " spec " << index;
+      }
+      compared += log.size();
+
+      // Under each single-variable flip, asked as refine asks it (one
+      // changed side) and checked against the flipped partition's own
+      // signature: the universe and the MUS.
+      const diag::SynthesisOracle::Sides sides = oracle.sides(signature);
+      const Subset universe = universe_of(sc.requirements.size());
+      for (std::uint32_t id = 0; id < sides.size(); ++id) {
+        const std::string& variable = oracle.atom_names()[id];
+        speccc::partition::Partition moved = initial;
+        diag::SynthesisOracle::Sides flipped = sides;
+        if (initial.is_input(variable)) {
+          moved.inputs.erase(variable);
+          moved.outputs.insert(variable);
+          flipped[id] = 2;
+        } else {
+          moved.outputs.erase(variable);
+          moved.inputs.insert(variable);
+          flipped[id] = 1;
+        }
+        const auto ask = oracle.under(signature, flipped);
+        const IoSignature moved_signature = speccc::partition::signature(moved);
+        for (const Subset& subset : {universe, diagnosis.mus}) {
+          ASSERT_EQ(!ask(subset).has_value(),
+                    monolithic_consistent(sc.requirements, subset, moved_signature))
+              << "seed " << seed << " spec " << index << " flip " << variable;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 20'000u);
+}
+
+TEST(SynthesisOracle, CancelThrowsOnMemoHitsAndInsideASharedManagerSolve) {
+  const difftest::SpecCase sc = difftest::build_spec_case(
+      difftest::generated_planted_spec(1, 0).requirements);
+  const Subset universe = universe_of(sc.requirements.size());
+  std::size_t polls = 0;
+  std::size_t cancel_after = static_cast<std::size_t>(-1);
+  synth::SynthesisOptions options;
+  options.symbolic.cancelled = [&] { return ++polls > cancel_after; };
+
+  // A memo hit runs no solve but still polls.
+  {
+    const diag::SynthesisOracle oracle(sc.requirements, options);
+    const auto ask = oracle.under(sc.signature);
+    ASSERT_TRUE(ask(universe).has_value());
+    cancel_after = polls;
+    EXPECT_THROW((void)ask(universe), speccc::util::CancelledError);
+  }
+
+  // The query's own poll passes and the component game's first fixpoint
+  // round cancels; the aborted solve memoizes nothing, so the oracle
+  // answers right once the hook relents.
+  polls = 0;
+  cancel_after = 1;
+  const diag::SynthesisOracle oracle(sc.requirements, options);
+  const auto ask = oracle.under(sc.signature);
+  try {
+    (void)ask(universe);
+    ADD_FAILURE() << "cancel inside the solve did not throw";
+  } catch (const speccc::util::CancelledError& e) {
+    EXPECT_NE(std::string(e.what()).find("game"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(polls, 2u);
+  cancel_after = static_cast<std::size_t>(-1);
+  EXPECT_TRUE(ask(universe).has_value());
+}
+
+// ---------------------------------------------------------------------------
 // Pinned end-to-end diagnoses of the hand-written multi-fault specs. The
 // sentences mirror examples/specs/faults/*.txt (which scripts/check.sh
 // smokes through the CLI); the pins here are the library-level contract.

@@ -1,10 +1,16 @@
-// Tests for the LTL core: hash-consing, printing, parsing round-trips,
-// rewriting, and lasso-trace semantics.
+// Tests for the LTL core: hash-consing (also from several threads at once),
+// printing, parsing round-trips, rewriting, and lasso-trace semantics.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "batch/corpus_tasks.hpp"
+#include "core/pipeline.hpp"
 #include "difftest/random.hpp"
 #include "ltl/formula.hpp"
 #include "ltl/parser.hpp"
@@ -72,6 +78,102 @@ TEST(Formula, IsPropositional) {
   EXPECT_TRUE(ltl::implies(a(), ltl::lor(b(), c())).is_propositional());
   EXPECT_FALSE(ltl::next(a()).is_propositional());
   EXPECT_FALSE(ltl::land(a(), ltl::eventually(b())).is_propositional());
+}
+
+// ---- Interning from several threads -------------------------------------------
+
+/// `ascii` with every proposition renamed to `prefix` + its name, so the
+/// text parses to nodes nothing has built yet.
+std::string rename_atoms(const std::string& ascii, const std::string& prefix) {
+  static const std::set<std::string> kKeywords{"true", "false", "X", "F",
+                                               "G",    "U",     "W", "R"};
+  const auto word_char = [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '_';
+  };
+  std::string out;
+  for (std::size_t i = 0; i < ascii.size();) {
+    if (!word_char(ascii[i])) {
+      out += ascii[i++];
+      continue;
+    }
+    std::size_t end = i;
+    while (end < ascii.size() && word_char(ascii[end])) ++end;
+    const std::string word = ascii.substr(i, end - i);
+    if (kKeywords.count(word) == 0) out += prefix;
+    out += word;
+    i = end;
+  }
+  return out;
+}
+
+/// Node count of the formula unfolded as a tree, counted here rather than
+/// read from Formula::length().
+std::size_t unfolded_size(Formula f) {
+  std::size_t n = 1;
+  for (Formula c : f.children()) n += unfolded_size(c);
+  return n;
+}
+
+TEST(Arena, ConcurrentInternIsCanonical) {
+  // Every Table I formula and 2,000 seeded random formulas, each paired
+  // with its sequentially built handle, plus a copy of each text renamed
+  // onto fresh propositions. The threads only hit on the first half and
+  // race to build every node of the second; its sequential handles are
+  // parsed after they join.
+  std::vector<std::pair<std::string, Formula>> cases;
+  const speccc::core::Pipeline pipeline;
+  for (const speccc::batch::SpecTask& task : speccc::batch::table1_tasks()) {
+    const auto result = pipeline.run(task.name, task.requirements);
+    for (Formula f : result.translation.formulas()) {
+      cases.emplace_back(ltl::to_string(f), f);
+    }
+  }
+  const std::size_t table1 = cases.size();
+  ASSERT_GT(table1, 100u);
+  speccc::difftest::FormulaConfig config;
+  config.max_depth = 6;
+  speccc::util::Rng rng(20261021);
+  for (int i = 0; i < 2000; ++i) {
+    const Formula f = speccc::difftest::random_formula(rng, config);
+    cases.emplace_back(ltl::to_string(f), f);
+  }
+  const std::size_t built_first = cases.size();
+  for (std::size_t i = 0; i < built_first; ++i) {
+    cases.emplace_back(
+        rename_atoms(cases[i].first, i < table1 ? "arena_t_" : "arena_r_"),
+        Formula());
+  }
+
+  constexpr std::size_t kThreads = 4;
+  const std::size_t n = cases.size();
+  std::vector<std::vector<Formula>> rebuilt(kThreads, std::vector<Formula>(n));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    // Each thread starts at its own offset and odd threads walk backwards,
+    // so the threads meet on different nodes.
+    threads.emplace_back([&cases, &out = rebuilt[t], t, n] {
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t step = t % 2 == 0 ? k : n - 1 - k;
+        const std::size_t i = (step + t * n / kThreads) % n;
+        out[i] = ltl::parse(cases[i].first);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t i = built_first; i < n; ++i) {
+    cases[i].second = ltl::parse(cases[i].first);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const Formula sequential = cases[i].second;
+    ASSERT_EQ(sequential.length(), unfolded_size(sequential)) << cases[i].first;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      const Formula f = rebuilt[t][i];
+      ASSERT_EQ(f, sequential) << "thread " << t << ": " << cases[i].first;
+      ASSERT_EQ(f.hash(), sequential.hash());
+      ASSERT_EQ(f.length(), sequential.length());
+    }
+  }
 }
 
 TEST(Printer, MatchesPaperShapes) {
